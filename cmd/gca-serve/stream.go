@@ -143,13 +143,11 @@ func (api *streamAPI) mutate(appendOp bool) http.HandlerFunc {
 }
 
 func (api *streamAPI) components(w http.ResponseWriter, r *http.Request) {
-	snap, err := api.reg.Components(r.Context(), r.PathValue("name"))
+	labels := r.URL.Query().Get("labels") != "0"
+	snap, err := api.reg.Components(r.Context(), r.PathValue("name"), labels)
 	if err != nil {
 		writeError(w, streamStatusOf(err), err)
 		return
-	}
-	if r.URL.Query().Get("labels") == "0" {
-		snap.Labels = nil
 	}
 	writeJSON(w, http.StatusOK, snap)
 }

@@ -162,7 +162,7 @@ const (
 
 // newLabelRun starts every vertex in its own singleton label. Alteration
 // mutates the edge list, so an altering run works on a copy and the
-// caller's graph survives.
+// caller's graph (or borrowed list) survives.
 func newLabelRun(g *Graph, opt Options, alters bool) *labelRun {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -171,7 +171,7 @@ func newLabelRun(g *Graph, opt Options, alters bool) *labelRun {
 	n := g.N()
 	r := &labelRun{
 		hooks:   opt.Hooks,
-		edges:   g.Edges(),
+		edges:   g.engineEdges(),
 		labels:  make([]int32, n),
 		scratch: make([]int32, n),
 		changed: make([]int32, workers),

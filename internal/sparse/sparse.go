@@ -17,6 +17,12 @@
 // target's backing arrays — so the facade can route a dense request to a
 // sparse engine and a small sparse graph to a dense engine.
 //
+// A graph's canonical form (edges sorted ascending, deduplicated) is
+// built lazily and only for what needs it: Edges, M, Fingerprint, Equal,
+// Clone and the CSR view. The engines do not — their labels and rounds
+// depend only on the edge set — so Borrow hands them a caller's unsorted
+// list without a copy or a sort.
+//
 // Vertex ids are int32 internally (MaxVertices bounds n), labels are
 // exchanged as []int to match the facade's labelling convention: every
 // engine labels each vertex with the smallest vertex index of its
@@ -52,11 +58,14 @@ type Edge struct {
 // Graph is an undirected graph on vertices 0..n-1 backed by an edge
 // list. Self-loops are rejected; parallel edges are collapsed by the
 // canonicalisation pass (sort + dedupe) that runs lazily before any
-// query that needs the canonical form.
+// query that needs the canonical form (see the package doc).
 type Graph struct {
 	n     int
 	edges []Edge
 	canon bool // edges sorted ascending and deduplicated
+	// borrowed marks edges as the caller's slice (see Borrow): it is
+	// copied before anything reorders it.
+	borrowed bool
 
 	// CSR view, built on demand by csr(): off has n+1 entries, adj lists
 	// each vertex's neighbours (both directions) in ascending order.
@@ -71,6 +80,19 @@ func New(n int) *Graph {
 		panic(fmt.Sprintf("sparse: vertex count %d out of range [0,%d]", n, MaxVertices))
 	}
 	return &Graph{n: n, canon: true}
+}
+
+// Borrow returns a graph on n vertices over the caller's edge list,
+// without copying it. The list must hold in-range edges with U < V; it
+// need not be sorted, and it should be duplicate-free — duplicates make
+// the engines slower, never wrong. The graph never reorders or writes
+// the list (any canonicalisation sorts a private copy, and AddEdge
+// reallocates), but it reads it until its last use, so the caller must
+// not mutate the list before then.
+func Borrow(n int, edges []Edge) *Graph {
+	g := New(n)
+	g.edges, g.canon, g.borrowed = edges[:len(edges):len(edges)], false, true
+	return g
 }
 
 // N returns the number of vertices.
@@ -95,7 +117,7 @@ func (g *Graph) AddEdge(u, v int) {
 		u, v = v, u
 	}
 	g.edges = append(g.edges, Edge{int32(u), int32(v)})
-	g.canon = false
+	g.canon, g.borrowed = false, false
 	g.off, g.adj = nil, nil
 }
 
@@ -124,10 +146,25 @@ func (g *Graph) Neighbors(u int, dst []int) []int {
 	return dst
 }
 
-// canonicalise sorts the edge list ascending and collapses duplicates.
+// engineEdges is the list an engine scans: a borrowed list as stored;
+// any other graph's in canonical form, which drops the duplicates AddEdge
+// may have collected and is kept for the graph's later Fingerprint.
+func (g *Graph) engineEdges() []Edge {
+	if g.borrowed {
+		return g.edges
+	}
+	return g.Edges()
+}
+
+// canonicalise sorts the edge list ascending and collapses duplicates,
+// on a private copy when the list is borrowed.
 func (g *Graph) canonicalise() {
 	if g.canon {
 		return
+	}
+	if g.borrowed {
+		g.edges = append([]Edge(nil), g.edges...)
+		g.borrowed = false
 	}
 	sort.Slice(g.edges, func(i, j int) bool {
 		if g.edges[i].U != g.edges[j].U {
@@ -250,8 +287,7 @@ func (g *Graph) ToDense() (*graph.Graph, error) {
 			g.n, DenseCutoff, int64(g.n)*int64(g.n)/8/(1<<20))
 	}
 	d := graph.New(g.n)
-	g.canonicalise()
-	for _, e := range g.edges {
+	for _, e := range g.edges { // any order will do: setting a bit twice is a no-op
 		d.AddEdge(int(e.U), int(e.V))
 	}
 	return d, nil

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -114,4 +115,23 @@ func BenchmarkStreamRecompute(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkParseBatch measures decoding an HTTP mutation body: a
+// 64-edge append and a 50k-edge preload batch.
+func BenchmarkParseBatch(b *testing.B) {
+	for _, m := range []int{64, 50_000} {
+		var body []byte
+		for _, e := range benchEdges(100_000, m) {
+			body = fmt.Appendf(body, "%d %d\n", e.U, e.V)
+		}
+		b.Run(fmt.Sprintf("edges=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ParseBatch(bytes.NewReader(body), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

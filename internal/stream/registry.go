@@ -276,15 +276,17 @@ func (r *Registry) Delete(ctx context.Context, name string, edges []sparse.Edge,
 	return m, nil
 }
 
-// Components answers a query on a named graph.
-func (r *Registry) Components(ctx context.Context, name string) (*Snapshot, error) {
+// Components answers a query on a named graph. Without labels the
+// snapshot's Labels is nil and a clean graph answers without an O(n)
+// pass; a dirty graph still recomputes first.
+func (r *Registry) Components(ctx context.Context, name string, labels bool) (*Snapshot, error) {
 	st, err := r.Get(name)
 	if err != nil {
 		r.m.rejected.Inc()
 		return nil, err
 	}
 	start := r.cfg.Clock.Now()
-	snap, err := st.Components(ctx)
+	snap, err := st.components(ctx, labels)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err != nil || m.Epoch != 1 {
 		t.Fatalf("append: %+v, %v", m, err)
 	}
-	snap, err := r.Components(ctx, "g1")
+	snap, err := r.Components(ctx, "g1", true)
 	if err != nil || snap.Components != 7 {
 		t.Fatalf("components: %+v, %v", snap, err)
 	}
@@ -131,7 +131,7 @@ func TestRegistryDeleteWrapper(t *testing.T) {
 	if err != nil || m.Applied != 1 || !m.Dirty {
 		t.Fatalf("delete: %+v, %v", m, err)
 	}
-	snap, err := r.Components(ctx, "g")
+	snap, err := r.Components(ctx, "g", true)
 	if err != nil {
 		t.Fatal(err)
 	}

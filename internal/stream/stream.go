@@ -13,15 +13,22 @@
 // recompute over the live edge set with a sparse engine (Liu–Tarjan by
 // default; the paper's GCA itself below the dense cutoff), then rebuilds
 // the forest from the engine's labelling. The recompute is bounded —
-// one Θ(n+m) engine run, coalesced across queries, never cascading —
-// and the forest in between is a safe over-approximation that is never
-// served while dirty.
+// one engine run, coalesced across queries, never cascading — and the
+// forest in between is a safe over-approximation that is never served
+// while dirty.
+//
+// The live edge set is kept as an order-stable list (appends push,
+// deletes swap-remove) that the recompute lends to the engine as is:
+// the engines' labels and rounds depend only on the edge set, so the
+// list is never copied into a graph or sorted, and a recompute costs
+// Θ(n + m) per engine round plus the O(n) forest rebuild.
 package stream
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"gcacc"
@@ -63,7 +70,8 @@ type Config struct {
 	// the conformance schedule that keeps the incremental forest honest
 	// against the engines. Zero recomputes only when deletions require it.
 	RecomputePeriod int
-	// MaxEdges bounds the live edge set (0 = unbounded).
+	// MaxEdges bounds the live edge set (0 = unbounded, apart from the
+	// hard ceiling of math.MaxInt32 edges).
 	MaxEdges int
 	// Fault, if non-nil, injects mid-batch aborts into mutations
 	// (Config.BatchErrorP) and threads step faults into recomputes.
@@ -121,8 +129,12 @@ type State struct {
 	cfg Config
 	n   int
 
-	mu    sync.Mutex
-	live  map[sparse.Edge]struct{}
+	mu sync.Mutex
+	// edges is the live edge set, in an order that only mutations change,
+	// and is the recompute engine's input as is; pos maps each live
+	// edge's key to its index in edges.
+	edges []sparse.Edge
+	pos   map[uint64]int32
 	uf    *graph.UnionFind
 	epoch uint64
 	// dirty is set by any applied deletion: the forest can no longer be
@@ -155,7 +167,7 @@ func NewState(n int, cfg Config) (*State, error) {
 	return &State{
 		cfg:        cfg,
 		n:          n,
-		live:       make(map[sparse.Edge]struct{}),
+		pos:        make(map[uint64]int32),
 		uf:         graph.NewUnionFind(n),
 		dirtyComps: make(map[int32]struct{}),
 	}, nil
@@ -177,7 +189,7 @@ func (s *State) Info() Info {
 	defer s.mu.Unlock()
 	return Info{
 		N:               s.n,
-		Edges:           len(s.live),
+		Edges:           len(s.edges),
 		Epoch:           s.epoch,
 		Dirty:           s.dirty,
 		DirtyComponents: len(s.dirtyComps),
@@ -188,6 +200,14 @@ func (s *State) Info() Info {
 		Engine:          s.cfg.Engine.String(),
 	}
 }
+
+// maxLiveEdges bounds the live edge set so that pos's int32 indices
+// cannot overflow, whatever Config.MaxEdges says.
+const maxLiveEdges = math.MaxInt32
+
+// edgeKey packs a canonical edge into the live index's key: a uint64 key
+// takes the runtime's specialised 64-bit map path, a struct key does not.
+func edgeKey(e sparse.Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) }
 
 // canonical validates a batch and returns it in canonical (U < V) form.
 // Validation is all-or-nothing so a rejected batch is atomic.
@@ -243,31 +263,39 @@ func (s *State) Append(ctx context.Context, edges []sparse.Edge, expect int64) (
 	if err != nil {
 		return Mutation{}, err
 	}
+	limit := maxLiveEdges
 	if s.cfg.MaxEdges > 0 {
+		limit = min(limit, s.cfg.MaxEdges)
+	}
+	if len(s.edges)+len(batch) > limit {
+		// The batch may not fit: count only the edges it would add.
 		fresh := 0
-		seen := make(map[sparse.Edge]struct{}, len(batch))
+		seen := make(map[uint64]struct{}, len(batch))
 		for _, e := range batch {
-			if _, dup := s.live[e]; dup {
+			k := edgeKey(e)
+			if _, dup := s.pos[k]; dup {
 				continue
 			}
-			if _, dup := seen[e]; dup {
+			if _, dup := seen[k]; dup {
 				continue
 			}
-			seen[e] = struct{}{}
+			seen[k] = struct{}{}
 			fresh++
 		}
-		if len(s.live)+fresh > s.cfg.MaxEdges {
+		if len(s.edges)+fresh > limit {
 			return Mutation{}, fmt.Errorf("%w: %d live + %d new > %d",
-				ErrEdgeLimit, len(s.live), fresh, s.cfg.MaxEdges)
+				ErrEdgeLimit, len(s.edges), fresh, limit)
 		}
 	}
 	m := Mutation{}
 	for _, e := range batch {
-		if _, dup := s.live[e]; dup {
+		k := edgeKey(e)
+		if _, dup := s.pos[k]; dup {
 			m.Ignored++
 			continue
 		}
-		s.live[e] = struct{}{}
+		s.pos[k] = int32(len(s.edges))
+		s.edges = append(s.edges, e)
 		s.uf.Union(int(e.U), int(e.V))
 		m.Applied++
 	}
@@ -295,11 +323,19 @@ func (s *State) Delete(ctx context.Context, edges []sparse.Edge, expect int64) (
 	}
 	m := Mutation{}
 	for _, e := range batch {
-		if _, ok := s.live[e]; !ok {
+		k := edgeKey(e)
+		i, ok := s.pos[k]
+		if !ok {
 			m.Ignored++
 			continue
 		}
-		delete(s.live, e)
+		// Swap-remove: the last edge takes the deleted one's slot.
+		last := len(s.edges) - 1
+		moved := s.edges[last]
+		s.edges[i] = moved
+		s.pos[edgeKey(moved)] = i
+		s.edges = s.edges[:last]
+		delete(s.pos, k)
 		// The forest still has this union baked in; record the blast
 		// radius by its (stale) label and let the recompute settle it.
 		s.dirtyComps[int32(s.uf.Label(int(e.U)))] = struct{}{}
@@ -328,6 +364,12 @@ func (s *State) needsRecomputeLocked() bool {
 // Components answers a query at the current epoch, recomputing first if
 // the deletion policy or the conformance period requires it.
 func (s *State) Components(ctx context.Context) (*Snapshot, error) {
+	return s.components(ctx, true)
+}
+
+// components is Components with the labelling optional: a snapshot
+// without labels reads only the forest's set count.
+func (s *State) components(ctx context.Context, labels bool) (*Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -345,7 +387,9 @@ func (s *State) Components(ctx context.Context) (*Snapshot, error) {
 	}
 	snap.Epoch = s.epoch
 	snap.Components = s.uf.Sets()
-	snap.Labels = s.uf.Labels(nil)
+	if labels {
+		snap.Labels = s.uf.Labels(nil)
+	}
 	s.queries++
 	return snap, nil
 }
@@ -361,16 +405,13 @@ func (s *State) Recompute(ctx context.Context) error {
 	return err
 }
 
-// recomputeLocked runs the configured engine over the live edge set and
-// rebuilds the forest from its labelling. On error (including injected
-// step faults and context cancellation mid-recompute) the forest is
-// unchanged and, if it was dirty, stays dirty — a later query retries.
+// recomputeLocked runs the configured engine over the live edge list,
+// lent as is, and rebuilds the forest from its labelling. On error
+// (including injected step faults and context cancellation
+// mid-recompute) the forest is unchanged and, if it was dirty, stays
+// dirty — a later query retries.
 func (s *State) recomputeLocked(ctx context.Context) (rounds int, err error) {
-	g := sparse.New(s.n)
-	for e := range s.live {
-		g.AddEdge(int(e.U), int(e.V))
-	}
-	rep, err := gcacc.ConnectedComponentsSparse(ctx, g, gcacc.Options{
+	rep, err := gcacc.ConnectedComponentsSparse(ctx, sparse.Borrow(s.n, s.edges), gcacc.Options{
 		Engine:  s.cfg.Engine,
 		Workers: s.cfg.Workers,
 		Fault:   s.cfg.Fault,

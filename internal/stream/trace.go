@@ -2,9 +2,11 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
 
 	"gcacc/internal/sparse"
 )
@@ -238,27 +240,35 @@ func WriteTrace(w io.Writer, t *Trace) error {
 // blank lines and #-comments skipped, strict decimals — into a batch of
 // at most maxEdges edges (0 = unbounded; beyond it the error wraps
 // ErrBatchLimit). Endpoint range and self-loop checks are the graph's
-// job, where n is known.
+// job, where n is known. Lines are parsed in the scanner's buffer, so
+// the allocations are per request (buffer, batch), not per line.
 func ParseBatch(r io.Reader, maxEdges int) ([]sparse.Edge, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
+	sc.Buffer(nil, 1<<26) // the scanner's 4 KiB start, grown only for long lines
 	var edges []sparse.Edge
 	line := 0
 	for sc.Scan() {
 		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
+		s := bytes.TrimSpace(sc.Bytes())
+		if len(s) == 0 || s[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(s)
-		if len(fields) != 2 {
+		// Exactly two whitespace-separated fields, as strings.Fields
+		// would split them: s is trimmed, so one space run must separate
+		// them and no other may follow.
+		sep := indexSpace(s)
+		var second []byte
+		if sep >= 0 {
+			second = bytes.TrimLeftFunc(s[sep:], unicode.IsSpace)
+		}
+		if sep < 0 || indexSpace(second) >= 0 {
 			return nil, fmt.Errorf("stream: line %d: %q is not \"u v\"", line, s)
 		}
-		u, err := parseVertex(fields[0])
+		u, err := parseVertex(s[:sep])
 		if err != nil {
 			return nil, fmt.Errorf("stream: line %d: %w", line, err)
 		}
-		v, err := parseVertex(fields[1])
+		v, err := parseVertex(second)
 		if err != nil {
 			return nil, fmt.Errorf("stream: line %d: %w", line, err)
 		}
@@ -273,11 +283,24 @@ func ParseBatch(r io.Reader, maxEdges int) ([]sparse.Edge, error) {
 	return edges, nil
 }
 
+// indexSpace is bytes.IndexFunc(s, unicode.IsSpace), stepping over a
+// leading run of digits — a well-formed field — without a call per byte.
+func indexSpace(s []byte) int {
+	i := 0
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	if j := bytes.IndexFunc(s[i:], unicode.IsSpace); j >= 0 {
+		return i + j
+	}
+	return -1
+}
+
 // parseVertex parses a strict non-negative decimal vertex id: digits
 // only (no signs, no trailing junk), bounded by the sparse
 // representation's vertex ceiling.
-func parseVertex(s string) (int, error) {
-	if s == "" {
+func parseVertex[T string | []byte](s T) (int, error) {
+	if len(s) == 0 {
 		return 0, fmt.Errorf("empty number")
 	}
 	n := 0

@@ -135,16 +135,40 @@ func TestParseBatch(t *testing.T) {
 		t.Fatalf("edges = %v, want %v", edges, want)
 	}
 
-	for _, in := range []string{
-		"0 1 2\n",   // three fields
-		"0\n",       // one field
-		"0 +1\n",    // sign mark
-		"-1 0\n",    // sign mark
-		"0 1junk\n", // trailing junk
-		"a b\n",     // letters
+	// Fields split on any Unicode white space, as strings.Fields does.
+	for in, want := range map[string][]sparse.Edge{
+		"\t0\t1\t\r\n":     {{U: 0, V: 1}},
+		"\v0 \f 1\n":       {{U: 0, V: 1}},
+		"0\u00a01\u2003\n": {{U: 0, V: 1}},
+		"007 010\n#x\n":    {{U: 7, V: 10}},
+		"  # indented\n":   nil,
+		"":                 nil,
 	} {
-		if _, err := ParseBatch(strings.NewReader(in), 0); err == nil {
-			t.Errorf("ParseBatch(%q) accepted, want error", in)
+		edges, err := ParseBatch(strings.NewReader(in), 0)
+		if err != nil || !reflect.DeepEqual(edges, want) {
+			t.Errorf("ParseBatch(%q) = %v, %v; want %v", in, edges, err, want)
+		}
+	}
+
+	for _, tc := range []struct{ in, err string }{
+		{"0 1 2\n", `stream: line 1: "0 1 2" is not "u v"`},
+		{"0\n", `stream: line 1: "0" is not "u v"`},
+		{"0 1\n\n 5 \n", `stream: line 3: "5" is not "u v"`},
+		{"0\u00a01\u00a02\n", `stream: line 1: "0\u00a01\u00a02" is not "u v"`},
+		{"0 +1\n", `stream: line 1: bad number "+1"`},
+		{"-1 0\n", `stream: line 1: bad number "-1"`},
+		{"0 1junk\n", `stream: line 1: bad number "1junk"`},
+		{"a b\n", `stream: line 1: bad number "a"`},
+		{"0,1\n", `stream: line 1: "0,1" is not "u v"`},
+		{"0x1 2\n", `stream: line 1: bad number "0x1"`},
+		{"0 \xff\n", `stream: line 1: bad number "\xff"`},
+		{"0 1\n1 2 # note\n", `stream: line 2: "1 2 # note" is not "u v"`},
+		{"1 67108865\n", `stream: line 1: number "67108865" exceeds 67108864`},
+		{"99999999999999999999 0\n", `stream: line 1: number "99999999999999999999" exceeds 67108864`},
+	} {
+		_, err := ParseBatch(strings.NewReader(tc.in), 0)
+		if err == nil || err.Error() != tc.err {
+			t.Errorf("ParseBatch(%q) error = %v, want %s", tc.in, err, tc.err)
 		}
 	}
 

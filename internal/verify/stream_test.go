@@ -218,7 +218,7 @@ func TestStreamSoak(t *testing.T) {
 					okMuts++
 					mu.Unlock()
 				default: // query
-					snap, err := reg.Components(ctx, name)
+					snap, err := reg.Components(ctx, name, true)
 					if err != nil {
 						if !fault.IsTransient(err) {
 							wrong(fmt.Errorf("client %d query: non-transient %w", c, err))
