@@ -106,8 +106,8 @@ func (r *Ring) Members() []int {
 }
 
 // KeyHash maps a graph fingerprint onto the ring. The fingerprint is
-// SHA-256 of the canonical adjacency matrix (graph.Fingerprint), so its
-// first eight bytes are already uniform — no further mixing needed.
+// SHA-256 of the canonical edge list (graph.EdgeHash), so its first
+// eight bytes are already uniform — no further mixing needed.
 func KeyHash(fp [32]byte) uint64 {
 	return binary.LittleEndian.Uint64(fp[:8])
 }
