@@ -147,3 +147,39 @@ func TestReadWeightedEdgeListErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseEdgeLine pins the shared tokenizer: fields split as
+// strings.Fields splits them, a line whose first field starts with '#'
+// is a comment, and the count comes back even when a field is bad.
+func TestParseEdgeLine(t *testing.T) {
+	for _, tc := range []struct {
+		in     string
+		fields int
+		vals   [2]int64
+		err    string
+	}{
+		{"", 0, [2]int64{}, ""},
+		{" \t\v\f\r\u0085\u00a0\u2003\u3000", 0, [2]int64{}, ""},
+		{"# 1 2", 0, [2]int64{}, ""},
+		{"\u3000#1 2", 0, [2]int64{}, ""},
+		{"3 4", 2, [2]int64{3, 4}, ""},
+		{"\u00a0007\u2003010\u3000", 2, [2]int64{7, 10}, ""},
+		{"1 2 # note", 4, [2]int64{1, 2}, ""},
+		{"5", 1, [2]int64{5}, ""},
+		{"1 +2", 2, [2]int64{1}, `bad number "+2"`},
+		{"1x 2", 2, [2]int64{}, `bad number "1x"`},
+		{"0\u200b1 2", 2, [2]int64{}, `bad number "0\u200b1"`}, // not white space
+		{"1 1000", 2, [2]int64{1}, `number "1000" exceeds 999`},
+		{"99999999999999999999 1", 2, [2]int64{}, `number "99999999999999999999" exceeds 999`},
+	} {
+		var vals [2]int64
+		fields, err := ParseEdgeLine([]byte(tc.in), vals[:], 999)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if fields != tc.fields || got != tc.err || (err == nil && vals != tc.vals) {
+			t.Errorf("ParseEdgeLine(%q) = %d %v %q, want %d %v %q", tc.in, fields, vals, got, tc.fields, tc.vals, tc.err)
+		}
+	}
+}

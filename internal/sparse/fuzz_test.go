@@ -9,14 +9,15 @@ import (
 )
 
 // FuzzParseEdgeStream drives the streaming parser with arbitrary text.
-// Beyond not crashing, three properties are checked on every accepted
-// input:
+// Beyond not crashing, three properties are checked:
 //
+//   - dense agreement, both ways: the dense parser accepts an input iff
+//     the stream parser does, except that the stream side alone accepts
+//     vertex counts beyond the dense n² cap; accepted inputs decode to
+//     the same graph (modulo duplicate-edge collapse, which both sides
+//     perform), compared via the shared fingerprint;
 //   - write/read round trip: re-serialising and re-parsing reproduces
 //     the same graph (canonical form is a fixpoint);
-//   - dense agreement: inputs small enough for the dense parser must
-//     decode to the same graph there (modulo duplicate-edge collapse,
-//     which both sides perform), compared via graph.Fingerprint;
 //   - engine sanity: the Liu–Tarjan default variant agrees with
 //     union-find on whatever the fuzzer managed to construct.
 func FuzzParseEdgeStream(f *testing.F) {
@@ -28,10 +29,32 @@ func FuzzParseEdgeStream(f *testing.F) {
 	f.Add("16384 1\n0 16383\n")
 	f.Add("bad header\n")
 	f.Add("4 2\n0 1\n1 1\n")
+	f.Add("3\v2\n0\f1\n1\u00a02\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeStream(strings.NewReader(input))
+		d, derr := graph.ReadEdgeList(strings.NewReader(input))
 		if err != nil {
+			if derr == nil {
+				t.Fatalf("stream parser rejected an input the dense parser accepted: %v", err)
+			}
 			return // malformed input must error, never panic
+		}
+		if g.N() <= graph.MaxParseVertices {
+			if derr != nil {
+				t.Fatalf("dense parser rejected an input the stream parser accepted: %v", derr)
+			}
+			if d.Fingerprint() != g.Fingerprint() {
+				t.Fatal("stream and dense parsers decoded different graphs")
+			}
+			if g.N() <= DenseCutoff {
+				dd, err := g.ToDense()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !dd.Equal(d) {
+					t.Fatal("ToDense disagrees with the dense parser")
+				}
+			}
 		}
 
 		var buf bytes.Buffer
@@ -44,29 +67,6 @@ func FuzzParseEdgeStream(f *testing.F) {
 		}
 		if !back.Equal(g) || back.Fingerprint() != g.Fingerprint() {
 			t.Fatal("write/read round trip changed the graph")
-		}
-
-		if g.N() <= graph.MaxParseVertices {
-			d, derr := graph.ReadEdgeList(strings.NewReader(input))
-			if derr != nil {
-				// The only divergence the parsers are allowed: the sparse
-				// side accepts vertex counts beyond the dense n² cap, and
-				// inputs this small are under that cap — so the dense
-				// parser rejecting here is a bug.
-				t.Fatalf("dense parser rejected an input the stream parser accepted: %v", derr)
-			}
-			if FromDense(d).Fingerprint() != g.Fingerprint() {
-				t.Fatal("stream and dense parsers decoded different graphs")
-			}
-			if g.N() <= DenseCutoff {
-				dd, err := g.ToDense()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dd.Fingerprint() != d.Fingerprint() {
-					t.Fatal("ToDense disagrees with the dense parser")
-				}
-			}
 		}
 
 		if g.N() <= 4096 {

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"unicode"
 
+	"gcacc/internal/graph"
 	"gcacc/internal/sparse"
 )
 
@@ -237,8 +237,9 @@ func WriteTrace(w io.Writer, t *Trace) error {
 }
 
 // ParseBatch reads an HTTP mutation body — one "u v" pair per line,
-// blank lines and #-comments skipped, strict decimals — into a batch of
-// at most maxEdges edges (0 = unbounded; beyond it the error wraps
+// blank lines and #-comments skipped, strict decimals, split by the
+// edge-list tokenizer (graph.ParseEdgeLine) — into a batch of at most
+// maxEdges edges (0 = unbounded; beyond it the error wraps
 // ErrBatchLimit). Endpoint range and self-loop checks are the graph's
 // job, where n is known. Lines are parsed in the scanner's buffer, so
 // the allocations are per request (buffer, batch), not per line.
@@ -246,36 +247,23 @@ func ParseBatch(r io.Reader, maxEdges int) ([]sparse.Edge, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<26) // the scanner's 4 KiB start, grown only for long lines
 	var edges []sparse.Edge
+	var uv [2]int64
 	line := 0
 	for sc.Scan() {
 		line++
-		s := bytes.TrimSpace(sc.Bytes())
-		if len(s) == 0 || s[0] == '#' {
+		k, err := graph.ParseEdgeLine(sc.Bytes(), uv[:], sparse.MaxVertices)
+		switch {
+		case k == 0:
 			continue
-		}
-		// Exactly two whitespace-separated fields, as strings.Fields
-		// would split them: s is trimmed, so one space run must separate
-		// them and no other may follow.
-		sep := indexSpace(s)
-		var second []byte
-		if sep >= 0 {
-			second = bytes.TrimLeftFunc(s[sep:], unicode.IsSpace)
-		}
-		if sep < 0 || indexSpace(second) >= 0 {
-			return nil, fmt.Errorf("stream: line %d: %q is not \"u v\"", line, s)
-		}
-		u, err := parseVertex(s[:sep])
-		if err != nil {
-			return nil, fmt.Errorf("stream: line %d: %w", line, err)
-		}
-		v, err := parseVertex(second)
-		if err != nil {
+		case k != 2:
+			return nil, fmt.Errorf("stream: line %d: %q is not \"u v\"", line, bytes.TrimSpace(sc.Bytes()))
+		case err != nil:
 			return nil, fmt.Errorf("stream: line %d: %w", line, err)
 		}
 		if maxEdges > 0 && len(edges) >= maxEdges {
 			return nil, fmt.Errorf("%w: batch exceeds %d edges", ErrBatchLimit, maxEdges)
 		}
-		edges = append(edges, sparse.Edge{U: int32(u), V: int32(v)})
+		edges = append(edges, sparse.Edge{U: int32(uv[0]), V: int32(uv[1])})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -283,36 +271,8 @@ func ParseBatch(r io.Reader, maxEdges int) ([]sparse.Edge, error) {
 	return edges, nil
 }
 
-// indexSpace is bytes.IndexFunc(s, unicode.IsSpace), stepping over a
-// leading run of digits — a well-formed field — without a call per byte.
-func indexSpace(s []byte) int {
-	i := 0
-	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
-		i++
-	}
-	if j := bytes.IndexFunc(s[i:], unicode.IsSpace); j >= 0 {
-		return i + j
-	}
-	return -1
-}
-
-// parseVertex parses a strict non-negative decimal vertex id: digits
-// only (no signs, no trailing junk), bounded by the sparse
-// representation's vertex ceiling.
-func parseVertex[T string | []byte](s T) (int, error) {
-	if len(s) == 0 {
-		return 0, fmt.Errorf("empty number")
-	}
-	n := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("bad number %q", s)
-		}
-		n = n*10 + int(c-'0')
-		if n > sparse.MaxVertices {
-			return 0, fmt.Errorf("number %q exceeds %d", s, sparse.MaxVertices)
-		}
-	}
-	return n, nil
+// parseVertex parses a trace's vertex count or endpoint.
+func parseVertex(s string) (int, error) {
+	v, err := graph.ParseDecimal([]byte(s), sparse.MaxVertices)
+	return int(v), err
 }
