@@ -24,6 +24,7 @@ import (
 	"gcacc/internal/fault"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // topoOptions carries the multi-replica run's knobs out of main.
@@ -108,9 +109,9 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 	defer top.Close()
 
 	rng := rand.New(rand.NewSource(o.seed))
-	graphs := make([]*graph.Graph, o.distinct)
+	graphs := make([]*sparse.Graph, o.distinct)
 	for i := range graphs {
-		graphs[i] = graph.Gnp(o.vertices, o.prob, rng)
+		graphs[i] = sparse.FromDense(graph.Gnp(o.vertices, o.prob, rng))
 	}
 
 	var (
@@ -162,7 +163,7 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 				} else {
 					t0 := time.Now()
 					res, err := entry.Submit(context.Background(), service.Request{
-						Graph:   graphs[int(i)%len(graphs)],
+						Sparse:  graphs[int(i)%len(graphs)],
 						Engine:  o.engine,
 						NoCache: o.nocache,
 					})

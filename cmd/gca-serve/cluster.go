@@ -114,7 +114,7 @@ func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bo
 		if !ok {
 			return
 		}
-		owner := node.Owner(req.Graph.Fingerprint())
+		owner := node.Owner(req.Sparse.Fingerprint())
 		w.Header().Set(cluster.OwnerHeader, strconv.Itoa(owner))
 		if redirect && owner != node.Self() && owner < len(peerURLs) {
 			loc := peerURLs[owner] + "/v1/components"
@@ -130,7 +130,7 @@ func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bo
 			return
 		}
 		writeJSON(w, http.StatusOK, clusterComponentsResponse{
-			componentsResponse: buildComponentsResponse(req.Graph.N(), res.Result,
+			componentsResponse: buildComponentsResponse(req.Sparse.N(), res.Result,
 				r.URL.Query().Get("labels") != "0"),
 			Owner:         res.Owner,
 			Served:        res.Served,

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gcacc"
 	"gcacc/internal/cluster"
 	"gcacc/internal/fault"
 	"gcacc/internal/graph"
@@ -104,18 +105,17 @@ func TestBatchHandlerBodyTooLarge(t *testing.T) {
 // unknown engine and a malformed graph answers 200 with per-item
 // statuses 200/422/400/400 — failures never leak onto their siblings.
 func TestBatchHandlerMixedOutcomes(t *testing.T) {
-	svc := service.New(service.Config{
-		QueueDepth: 8, Workers: 2, MaxVertices: 256, DenseCutoff: 8,
-	})
+	svc := service.New(service.Config{QueueDepth: 8, Workers: 2})
 	t.Cleanup(svc.Close)
 	h := batchHandler(newStandaloneNode(t, svc), 1<<20)
 
+	aboveCutoff := fmt.Sprintf("%d 1\n0 %d\n", gcacc.DenseCutoff+1, gcacc.DenseCutoff)
 	resp := decodeBatch(t, postBatch(t, h, "", cluster.WireBatchRequest{Items: []cluster.WireItem{
 		{Graph: edgeList(t, graph.Path(4))},                           // fine on the default engine
-		{Graph: edgeList(t, graph.Path(16)), Engine: "gca"},           // dense-only above cutoff
+		{Graph: aboveCutoff, Engine: "gca"},                           // dense-only above cutoff
 		{Graph: edgeList(t, graph.Path(4)), Engine: "no-such-engine"}, // 400 at decode
-		{Graph: "3 1\n0\n"}, // malformed edge list
-		{Graph: edgeList(t, graph.Path(16)), Engine: "liutarjan"}, // sparse-capable sibling
+		{Graph: "3 1\n0\n"},                                           // malformed edge list
+		{Graph: aboveCutoff, Engine: "liutarjan"},                     // sparse-capable sibling
 	}}))
 	want := []int{200, 422, 400, 400, 200}
 	if len(resp.Items) != len(want) {
@@ -129,9 +129,9 @@ func TestBatchHandlerMixedOutcomes(t *testing.T) {
 			t.Errorf("item %d: failed with empty error", i)
 		}
 	}
-	if resp.Items[4].Components != 1 || len(resp.Items[4].Labels) != 16 {
-		t.Errorf("sparse sibling: components=%d labels=%d, want 1 and 16",
-			resp.Items[4].Components, len(resp.Items[4].Labels))
+	if resp.Items[4].Components != gcacc.DenseCutoff || len(resp.Items[4].Labels) != gcacc.DenseCutoff+1 {
+		t.Errorf("sparse sibling: components=%d labels=%d, want %d and %d",
+			resp.Items[4].Components, len(resp.Items[4].Labels), gcacc.DenseCutoff, gcacc.DenseCutoff+1)
 	}
 }
 

@@ -9,11 +9,13 @@
 //
 //	POST /v1/components?format=edges|matrix&engine=gca&nocache=1&labels=0
 //	    Body is a graph in the "edges" or "matrix" text format of
-//	    internal/graph/io.go. Returns the labelling as JSON. A malformed
-//	    body or unknown engine/format answers 400, a full queue 429, an
-//	    oversized body or graph 413, a dense-only engine asked for a
-//	    graph above the dense cutoff 422 (see -dense-cutoff; the error
-//	    names the sparse-capable engines), an expired deadline 504, an
+//	    internal/graph/io.go, parsed into a sparse edge list (an edge
+//	    list never costs n² bits). Returns the labelling as JSON. A
+//	    malformed body or unknown engine/format answers 400, a full
+//	    queue 429, an oversized body or a graph above -max-vertices 413,
+//	    a dense-only engine asked for a graph above gcacc.DenseCutoff
+//	    (4096) vertices 422 (the error names the sparse-capable
+//	    engines), an expired deadline 504, an
 //	    open circuit breaker without fallback 503, and a client that
 //	    disconnects mid-request 499 (nginx's "client closed request";
 //	    only the access log sees it).
@@ -78,7 +80,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 		maxTimeout  = flag.Duration("max-timeout", 0, "cap on every request's deadline budget (0 = none)")
 		maxVertices = flag.Int("max-vertices", graph.MaxParseVertices, "largest admitted graph")
-		denseCutoff = flag.Int("dense-cutoff", 0, "largest graph a dense-only engine may process (0 = library default, negative disables)")
 		maxBody     = flag.Int64("max-body", 64<<20, "largest accepted request body in bytes")
 
 		retries         = flag.Int("retries", 0, "max retries of transient engine failures per request")
@@ -127,7 +128,6 @@ func main() {
 		DefaultTimeout:     *timeout,
 		MaxTimeout:         *maxTimeout,
 		MaxVertices:        *maxVertices,
-		DenseCutoff:        *denseCutoff,
 		ExpvarName:         "gcacc_service",
 		Fault:              inj,
 		Seed:               *seed,
@@ -266,17 +266,7 @@ func parseComponents(w http.ResponseWriter, r *http.Request, maxBody int64, chao
 		reqInj = fault.New(cfg)
 	}
 
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	var g *graph.Graph
-	switch format := q.Get("format"); format {
-	case "", "edges":
-		g, err = graph.ReadEdgeList(body)
-	case "matrix":
-		g, err = graph.ReadMatrix(body)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (edges|matrix)", format))
-		return service.Request{}, false
-	}
+	g, err := cluster.ParseGraph(http.MaxBytesReader(w, r.Body, maxBody), q.Get("format"))
 	if err != nil {
 		// MaxBytesReader surfaces through the parser; keep the 413.
 		var tooBig *http.MaxBytesError
@@ -289,7 +279,7 @@ func parseComponents(w http.ResponseWriter, r *http.Request, maxBody int64, chao
 	}
 
 	return service.Request{
-		Graph:   g,
+		Sparse:  g,
 		Engine:  eng,
 		NoCache: q.Get("nocache") == "1" || reqInj != nil,
 		Fault:   reqInj,
@@ -330,7 +320,7 @@ func componentsHandler(svc *service.Service, maxBody int64, chaos bool) http.Han
 			return
 		}
 		writeJSON(w, http.StatusOK,
-			buildComponentsResponse(req.Graph.N(), res, r.URL.Query().Get("labels") != "0"))
+			buildComponentsResponse(req.Sparse.N(), res, r.URL.Query().Get("labels") != "0"))
 	}
 }
 

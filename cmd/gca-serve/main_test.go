@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"gcacc"
 	"gcacc/internal/service"
 )
 
@@ -81,16 +82,12 @@ func TestComponentsHandlerSuccess(t *testing.T) {
 // way out — not the OOM-shaped timeout a (n+1)×n cell field would
 // produce. The same graph on a sparse-capable engine succeeds.
 func TestComponentsHandlerDenseOnlyAboveCutoff(t *testing.T) {
-	svc := service.New(service.Config{
-		QueueDepth:  8,
-		Workers:     2,
-		MaxVertices: 256,
-		DenseCutoff: 16, // small override so the test graph stays tiny
-	})
+	svc := service.New(service.Config{QueueDepth: 8, Workers: 2})
 	t.Cleanup(svc.Close)
 	h := componentsHandler(svc, 1<<20, false)
 
-	body := "17 1\n0 16\n"
+	// A sparse request body costs a few bytes at any size.
+	body := fmt.Sprintf("%d 1\n0 %d\n", gcacc.DenseCutoff+1, gcacc.DenseCutoff)
 	w := postComponents(t, h, "?engine=gca", body)
 	if w.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("dense engine above cutoff: status = %d, want 422 (body %q)", w.Code, w.Body.String())
@@ -107,10 +104,10 @@ func TestComponentsHandlerDenseOnlyAboveCutoff(t *testing.T) {
 		}
 	}
 
-	// At or below the cutoff the dense engine still works.
+	// Below the cutoff the dense engine still works.
 	w = postComponents(t, h, "?engine=gca", "16 1\n0 15\n")
 	if w.Code != http.StatusOK {
-		t.Fatalf("dense engine at cutoff: status = %d, want 200 (body %q)", w.Code, w.Body.String())
+		t.Fatalf("dense engine below cutoff: status = %d, want 200 (body %q)", w.Code, w.Body.String())
 	}
 }
 

@@ -228,9 +228,9 @@ func ConnectedComponentsWith(g *Graph, opt Options) (*Report, error) {
 // ConnectedComponentsWithContext is ConnectedComponentsWith with a
 // deadline: the context is checked between the synchronous steps of the
 // simulated machines, so a cancelled or expired ctx aborts a run
-// mid-computation with the context's error. This is the entry point of
-// the serving layer (internal/service), which threads per-request
-// deadlines down to the engines.
+// mid-computation with the context's error. The serving layer
+// (internal/service) threads per-request deadlines down to the engines
+// through its sparse twin, ConnectedComponentsSparse.
 func ConnectedComponentsWithContext(ctx context.Context, g *Graph, opt Options) (*Report, error) {
 	switch opt.Engine {
 	case EngineGCA:
@@ -309,8 +309,10 @@ func ConnectedComponentsWithContext(ctx context.Context, g *Graph, opt Options) 
 // any size up to sparse.MaxVertices; a dense-only engine is honoured by
 // densifying when the graph is at most DenseCutoff vertices and refused
 // with an error above it — the same boundary the serving layer enforces
-// at admission. Report.Generations carries the sparse engines' round
-// count (their analogue of the dense engines' generation count).
+// at admission. It is the serving layer's entry point, so the n²-bit
+// matrix exists only inside the dense engines. Report.Generations
+// carries the sparse engines' round count (their analogue of the dense
+// engines' generation count).
 func ConnectedComponentsSparse(ctx context.Context, g *SparseGraph, opt Options) (*Report, error) {
 	if !opt.Engine.Valid() {
 		return nil, fmt.Errorf("gcacc: invalid engine %d (valid: %v)", int(opt.Engine), EngineNames())

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"gcacc"
-	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // BatchItem is one job inside a batch. Items are independent: each
@@ -15,7 +15,7 @@ import (
 // or fails on its own — a batch is never all-or-nothing.
 type BatchItem struct {
 	// Graph is the item's input.
-	Graph *graph.Graph
+	Graph *sparse.Graph
 	// Engine selects the implementation (default EngineGCA).
 	Engine gcacc.Engine
 	// Timeout bounds this item's compute (<= 0 inherits the service
@@ -205,7 +205,7 @@ func (n *Node) runItem(ctx context.Context, it BatchItem) (*service.Result, erro
 		ictx, cancel = context.WithTimeout(ctx, it.Timeout)
 		defer cancel()
 	}
-	return n.svc.Submit(ictx, service.Request{Graph: it.Graph, Engine: it.Engine, NoCache: it.NoCache})
+	return n.svc.Submit(ictx, service.Request{Sparse: it.Graph, Engine: it.Engine, NoCache: it.NoCache})
 }
 
 // peerBatch ships a pre-routed sub-batch to its owner as one peer call.

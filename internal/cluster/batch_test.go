@@ -8,7 +8,7 @@ import (
 
 	"gcacc"
 	"gcacc/internal/graph"
-	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 func TestBatchAdmission(t *testing.T) {
@@ -21,14 +21,14 @@ func TestBatchAdmission(t *testing.T) {
 
 	big := make([]BatchItem, n.Config().MaxBatchItems+1)
 	for i := range big {
-		big[i] = BatchItem{Graph: graph.Path(2)}
+		big[i] = BatchItem{Graph: sp(graph.Path(2))}
 	}
 	if _, err := n.SubmitBatch(context.Background(), big); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized batch: %v, want ErrBatchTooLarge", err)
 	}
 
 	n.Stop()
-	if _, err := n.SubmitBatch(context.Background(), []BatchItem{{Graph: graph.Path(2)}}); !errors.Is(err, ErrNodeDown) {
+	if _, err := n.SubmitBatch(context.Background(), []BatchItem{{Graph: sp(graph.Path(2))}}); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("batch on stopped node: %v, want ErrNodeDown", err)
 	}
 	n.Start()
@@ -45,33 +45,31 @@ func TestBatchBusy(t *testing.T) {
 	for i := 0; i < n.Config().BatchTickets; i++ {
 		n.batchGate <- struct{}{}
 	}
-	if _, err := n.SubmitBatch(context.Background(), []BatchItem{{Graph: graph.Path(2)}}); !errors.Is(err, ErrBatchBusy) {
+	if _, err := n.SubmitBatch(context.Background(), []BatchItem{{Graph: sp(graph.Path(2))}}); !errors.Is(err, ErrBatchBusy) {
 		t.Fatalf("no free ticket: %v, want ErrBatchBusy", err)
 	}
 	for i := 0; i < n.Config().BatchTickets; i++ {
 		<-n.batchGate
 	}
-	if _, err := n.SubmitBatch(context.Background(), []BatchItem{{Graph: graph.Path(2)}}); err != nil {
+	if _, err := n.SubmitBatch(context.Background(), []BatchItem{{Graph: sp(graph.Path(2))}}); err != nil {
 		t.Fatalf("after ticket release: %v", err)
 	}
 }
 
 func TestBatchMixedOutcomes(t *testing.T) {
-	// DenseCutoff 8: a 16-vertex graph on the dense-only gca engine must
+	// A graph above the dense cutoff on the dense-only gca engine must
 	// answer 422 without touching its siblings.
-	top, err := NewInProcessTopology(1, service.Config{DenseCutoff: 8}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(top.Close)
+	top := testTopology(t, 1, ModeProxy)
+	big := sparse.New(gcacc.DenseCutoff + 1)
+	big.AddEdge(0, gcacc.DenseCutoff)
 
 	preErr := &StatusError{Code: 400, Msg: "unparseable item"}
 	items := []BatchItem{
-		{Graph: graph.Path(6)},                           // fine
-		{Graph: graph.Path(16), Engine: gcacc.EngineGCA}, // dense-only → 422
-		{Err: preErr},                                    // pre-admission → 400
-		{Graph: nil},                                     // nil graph → 400
-		{Graph: graph.Star(7), Engine: gcacc.EngineLiuTarjan}, // sparse engine, fine
+		{Graph: sp(graph.Path(6))},            // fine
+		{Graph: big, Engine: gcacc.EngineGCA}, // dense-only → 422
+		{Err: preErr},                         // pre-admission → 400
+		{Graph: nil},                          // nil graph → 400
+		{Graph: sp(graph.Star(7)), Engine: gcacc.EngineLiuTarjan}, // sparse engine, fine
 	}
 	outs, err := top.Nodes[0].SubmitBatch(context.Background(), items)
 	if err != nil {
@@ -98,10 +96,10 @@ func TestBatchDuplicatesCoalesce(t *testing.T) {
 	top := testTopology(t, 1, ModeProxy)
 	g := graph.Grid(4, 5)
 	items := []BatchItem{
-		{Graph: g},
-		{Graph: graph.Path(3)},
-		{Graph: g}, // duplicate of item 0
-		{Graph: g}, // duplicate of item 0
+		{Graph: sp(g)},
+		{Graph: sp(graph.Path(3))},
+		{Graph: sp(g)}, // duplicate of item 0
+		{Graph: sp(g)}, // duplicate of item 0
 	}
 	outs, err := top.Nodes[0].SubmitBatch(context.Background(), items)
 	if err != nil {
@@ -140,9 +138,9 @@ func TestBatchPerItemTimeout(t *testing.T) {
 	// A deadline that has effectively already passed: the item expires
 	// alone (504) while its siblings complete.
 	items := []BatchItem{
-		{Graph: graph.Path(4)},
-		{Graph: graph.Path(64), Timeout: time.Nanosecond, NoCache: true},
-		{Graph: graph.Star(5)},
+		{Graph: sp(graph.Path(4))},
+		{Graph: sp(graph.Path(64)), Timeout: time.Nanosecond, NoCache: true},
+		{Graph: sp(graph.Star(5))},
 	}
 	outs, err := top.Nodes[0].SubmitBatch(context.Background(), items)
 	if err != nil {
@@ -155,7 +153,7 @@ func TestBatchPerItemTimeout(t *testing.T) {
 		if outs[i].Err != nil {
 			t.Fatalf("sibling %d failed: %v", i, outs[i].Err)
 		}
-		if !labelsEq(outs[i].Result.Labels, wantLabels(items[i].Graph)) {
+		if !labelsEq(outs[i].Result.Labels, sparse.ConnectedComponentsUnionFind(items[i].Graph)) {
 			t.Fatalf("sibling %d labels wrong", i)
 		}
 	}
@@ -165,7 +163,7 @@ func TestBatchCancelledContext(t *testing.T) {
 	top := testTopology(t, 1, ModeProxy)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outs, err := top.Nodes[0].SubmitBatch(ctx, []BatchItem{{Graph: graph.Path(4), NoCache: true}})
+	outs, err := top.Nodes[0].SubmitBatch(ctx, []BatchItem{{Graph: sp(graph.Path(4)), NoCache: true}})
 	if err != nil {
 		t.Fatalf("SubmitBatch: %v", err)
 	}
@@ -179,7 +177,7 @@ func TestBatchOwnerSplit(t *testing.T) {
 	entry := top.Nodes[0]
 	var items []BatchItem
 	for n := 2; n < 26; n++ {
-		items = append(items, BatchItem{Graph: graph.Path(n)})
+		items = append(items, BatchItem{Graph: sp(graph.Path(n))})
 	}
 	outs, err := entry.SubmitBatch(context.Background(), items)
 	if err != nil {
@@ -200,7 +198,7 @@ func TestBatchOwnerSplit(t *testing.T) {
 			}
 			remote++
 		}
-		if !labelsEq(oc.Result.Labels, wantLabels(items[i].Graph)) {
+		if !labelsEq(oc.Result.Labels, sparse.ConnectedComponentsUnionFind(items[i].Graph)) {
 			t.Fatalf("item %d labels wrong", i)
 		}
 	}
@@ -226,7 +224,7 @@ func TestBatchPeerFallback(t *testing.T) {
 	entry := top.Nodes[0]
 	g := graphOwnedBy(t, top, 1)
 	top.Nodes[1].Stop()
-	outs, err := entry.SubmitBatch(context.Background(), []BatchItem{{Graph: g}, {Graph: graphOwnedBy(t, top, 0)}})
+	outs, err := entry.SubmitBatch(context.Background(), []BatchItem{{Graph: sp(g)}, {Graph: sp(graphOwnedBy(t, top, 0))}})
 	if err != nil {
 		t.Fatalf("SubmitBatch with dead owner: %v", err)
 	}

@@ -272,10 +272,11 @@ func (n *Node) Submit(ctx context.Context, req service.Request) (*Result, error)
 		return nil, ErrNodeDown
 	}
 	n.metrics.submitted.Inc()
-	if req.Graph == nil {
+	g := req.Input()
+	if g == nil {
 		return nil, service.ErrNilGraph
 	}
-	fp := req.Graph.Fingerprint()
+	fp := g.Fingerprint()
 	owner := n.ring.Owner(fp)
 	if owner == n.cfg.Self {
 		n.metrics.ownedLocal.Inc()

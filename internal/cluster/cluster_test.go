@@ -11,6 +11,7 @@ import (
 	"gcacc"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // testTopology builds an in-process topology that is torn down with the
@@ -42,6 +43,9 @@ func graphOwnedBy(t *testing.T, top *Topology, owner int) *graph.Graph {
 func wantLabels(g *graph.Graph) []int {
 	return graph.ConnectedComponentsUnionFind(g)
 }
+
+// sp converts a dense test graph to the batch tier's representation.
+func sp(g *graph.Graph) *sparse.Graph { return sparse.FromDense(g) }
 
 func labelsEq(a, b []int) bool {
 	if len(a) != len(b) {
@@ -366,7 +370,7 @@ func TestHTTPPeerTransport(t *testing.T) {
 	}
 
 	// Batch over HTTP.
-	items := []BatchItem{{Graph: graph.Path(6)}, {Graph: graph.Star(7)}}
+	items := []BatchItem{{Graph: sp(graph.Path(6))}, {Graph: sp(graph.Star(7))}}
 	outs, err := peer.ComputeBatch(context.Background(), items)
 	if err != nil {
 		t.Fatalf("ComputeBatch: %v", err)
@@ -375,7 +379,7 @@ func TestHTTPPeerTransport(t *testing.T) {
 		if oc.Err != nil {
 			t.Fatalf("item %d: %v", i, oc.Err)
 		}
-		if !labelsEq(oc.Result.Labels, wantLabels(items[i].Graph)) {
+		if !labelsEq(oc.Result.Labels, sparse.ConnectedComponentsUnionFind(items[i].Graph)) {
 			t.Fatalf("item %d labels mismatch", i)
 		}
 	}
@@ -417,7 +421,7 @@ func TestStatusOf(t *testing.T) {
 }
 
 func TestWireItemRoundTrip(t *testing.T) {
-	g := graph.Star(9)
+	g := sparse.Star(9)
 	wi, err := EncodeWireItem(BatchItem{Graph: g, Engine: gcacc.EnginePRAM, NoCache: true})
 	if err != nil {
 		t.Fatalf("EncodeWireItem: %v", err)
@@ -438,4 +442,52 @@ func TestWireItemRoundTrip(t *testing.T) {
 	if badEng.Err == nil || StatusOf(badEng.Err) != 400 {
 		t.Fatalf("unknown engine should decode to a 400 item error, got %v", badEng.Err)
 	}
+}
+
+// TestDenseRequestMatchesSparseTwin pins the input-only dense field of
+// service.Request: a request carrying only Graph is converted where it
+// enters, so it gets the same cache key, owner and labels as the same
+// graph sent as Sparse — in process and over HTTPPeer.
+func TestDenseRequestMatchesSparseTwin(t *testing.T) {
+	ctx := context.Background()
+	g := graph.Grid(5, 6)
+	want := wantLabels(g)
+	check := func(where string, res *service.Result, err error, cached bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if !labelsEq(res.Labels, want) || res.Cached != cached {
+			t.Fatalf("%s: cached=%v labels=%v, want cached=%v labels=%v", where, res.Cached, res.Labels, cached, want)
+		}
+	}
+
+	top := testTopology(t, 2, ModeProxy)
+	owner := top.Nodes[0].Owner(g.Fingerprint())
+	res, err := top.Nodes[0].Submit(ctx, service.Request{Graph: g})
+	check("in-process dense", res.Result, err, false)
+	if res.Owner != owner {
+		t.Fatalf("dense request owned by %d, the dense fingerprint places it at %d", res.Owner, owner)
+	}
+	res, err = top.Nodes[1].Submit(ctx, service.Request{Sparse: sp(g)})
+	check("in-process sparse twin", res.Result, err, true)
+	if _, ok := top.Nodes[owner].Service().CacheLookup(g.Fingerprint(), gcacc.EngineGCA); !ok {
+		t.Fatal("the owner's cache has no entry under the dense fingerprint")
+	}
+
+	svc := service.New(service.Config{})
+	defer svc.Close()
+	node, err := NewNode(svc, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	RegisterPeerHandlers(mux, node, 1<<20)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	peer := NewHTTPPeer(srv.URL, srv.Client())
+	sres, err := peer.Compute(ctx, service.Request{Graph: g})
+	check("HTTPPeer dense", sres, err, false)
+	sres, err = peer.Compute(ctx, service.Request{Sparse: sp(g)})
+	check("HTTPPeer sparse twin", sres, err, true)
 }

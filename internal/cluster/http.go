@@ -15,6 +15,7 @@ import (
 	"gcacc"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // OwnerHeader is set on every cluster-routed response so clients and
@@ -75,7 +76,8 @@ func StatusOf(err error) int {
 // WireItem is one batch item on the wire — the public
 // POST /v1/components/batch body and the internal peer sub-batch share
 // this encoding. The graph travels in the text formats of
-// internal/graph/io.go, embedded as a JSON string.
+// internal/graph/io.go, embedded as a JSON string, and is read with
+// ParseGraph.
 type WireItem struct {
 	Graph     string `json:"graph"`
 	Format    string `json:"format,omitempty"` // edges (default) | matrix
@@ -137,16 +139,7 @@ func DecodeWireItem(it WireItem) BatchItem {
 		}
 		out.Engine = eng
 	}
-	var g *graph.Graph
-	var err error
-	switch it.Format {
-	case "", "edges":
-		g, err = graph.ReadEdgeList(strings.NewReader(it.Graph))
-	case "matrix":
-		g, err = graph.ReadMatrix(strings.NewReader(it.Graph))
-	default:
-		err = fmt.Errorf("unknown format %q (edges|matrix)", it.Format)
-	}
+	g, err := ParseGraph(strings.NewReader(it.Graph), it.Format)
 	if err != nil {
 		out.Err = &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 		return out
@@ -155,11 +148,30 @@ func DecodeWireItem(it WireItem) BatchItem {
 	return out
 }
 
+// ParseGraph reads a request graph in the "edges" (the default) or
+// "matrix" text format into the serving tier's one representation, the
+// sparse edge list. An edge list never touches an n² structure; a
+// matrix body is n² bytes already, so it goes through the dense parser.
+func ParseGraph(r io.Reader, format string) (*sparse.Graph, error) {
+	switch format {
+	case "", "edges":
+		return sparse.ReadEdgeStream(r)
+	case "matrix":
+		g, err := graph.ReadMatrix(r)
+		if err != nil {
+			return nil, err
+		}
+		return sparse.FromDense(g), nil
+	default:
+		return nil, fmt.Errorf("unknown format %q (edges|matrix)", format)
+	}
+}
+
 // EncodeWireItem serializes a BatchItem for a peer sub-batch (always
 // edge-list format; a BatchItem built by the node has a parsed graph).
 func EncodeWireItem(it BatchItem) (WireItem, error) {
 	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, it.Graph); err != nil {
+	if err := sparse.WriteEdgeStream(&buf, it.Graph); err != nil {
 		return WireItem{}, err
 	}
 	return WireItem{
@@ -252,13 +264,13 @@ func RegisterPeerHandlers(mux *http.ServeMux, n *Node, maxBody int64) {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		g, err := graph.ReadEdgeList(http.MaxBytesReader(w, r.Body, maxBody))
+		g, err := sparse.ReadEdgeStream(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 		res, err := n.svc.Submit(r.Context(), service.Request{
-			Graph:   g,
+			Sparse:  g,
 			Engine:  eng,
 			NoCache: r.URL.Query().Get("nocache") == "1",
 		})
@@ -378,8 +390,12 @@ func NewHTTPPeer(base string, client *http.Client) *HTTPPeer {
 
 // Compute implements Peer.
 func (p *HTTPPeer) Compute(ctx context.Context, req service.Request) (*service.Result, error) {
+	g := req.Input()
+	if g == nil {
+		return nil, service.ErrNilGraph
+	}
 	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, req.Graph); err != nil {
+	if err := sparse.WriteEdgeStream(&buf, g); err != nil {
 		return nil, err
 	}
 	url := fmt.Sprintf("%s/internal/v1/compute?engine=%s", p.base, req.Engine)

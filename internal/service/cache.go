@@ -6,8 +6,8 @@ import (
 	"gcacc"
 )
 
-// cacheKey content-addresses a request: the canonical fingerprint of the
-// adjacency bit-matrix plus the engine that computes on it. Two requests
+// cacheKey content-addresses a request: the graph's fingerprint (see
+// graph.EdgeHash) plus the engine that computes on it. Two requests
 // with the same key are guaranteed the same labels (every engine is
 // deterministic), so results are interchangeable.
 type cacheKey struct {

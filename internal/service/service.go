@@ -12,8 +12,11 @@
 // everything beyond the queue bound is rejected at admission rather than
 // degrading everyone (the HTTP layer maps that rejection to 429).
 //
-// Requests are content-addressed: the cache key is the SHA-256
-// fingerprint of the adjacency bit-matrix plus the engine. Identical
+// Requests are content-addressed: the cache key is the graph's SHA-256
+// fingerprint (the canonical edge list, see graph.EdgeHash) plus the
+// engine. A request carries its graph as a sparse edge list, so nothing
+// on the request path costs n² bits: the adjacency matrix exists only
+// inside the dense engines, at or below gcacc.DenseCutoff. Identical
 // concurrent requests are coalesced onto one computation — every engine
 // is deterministic, so one result serves them all, and a key is filled
 // at most once per residency.
@@ -42,6 +45,7 @@ import (
 	"gcacc"
 	"gcacc/internal/fault"
 	"gcacc/internal/graph"
+	"gcacc/internal/sparse"
 )
 
 // Admission errors. The HTTP layer maps these onto status codes
@@ -93,15 +97,13 @@ type Config struct {
 	// a longer (or no) deadline are clamped to now+MaxTimeout. 0 means no
 	// cap.
 	MaxTimeout time.Duration
-	// MaxVertices rejects larger graphs at admission (the dense
-	// representation costs n² bits); <= 0 selects graph.MaxParseVertices.
+	// MaxVertices rejects larger graphs at admission with ErrTooLarge;
+	// <= 0 selects graph.MaxParseVertices. Raise it to serve the sparse
+	// engines on million-vertex graphs. Whatever it is, a dense-only
+	// engine (see gcacc.Engine.Sparse) is refused above gcacc.DenseCutoff
+	// with ErrDenseOnly — a clear 422 instead of the OOM-shaped timeout a
+	// (n+1)×n cell field at n ≫ 4096 would produce.
 	MaxVertices int
-	// DenseCutoff rejects dense-only engines (see gcacc.Engine.Sparse)
-	// for graphs above this vertex count with ErrDenseOnly — a clear 422
-	// instead of the OOM-shaped timeout a (n+1)×n cell field at n ≫ 4096
-	// would produce. 0 selects gcacc.DenseCutoff; negative disables the
-	// guardrail.
-	DenseCutoff int
 	// ExpvarName, if non-empty, publishes the Stats snapshot under this
 	// expvar key. Publish once per process: expvar panics on duplicates.
 	ExpvarName string
@@ -141,8 +143,14 @@ type Config struct {
 
 // Request is one unit of admitted work.
 type Request struct {
-	// Graph is the input; it must not be mutated while the request is in
-	// flight (the fingerprint taken at admission addresses the result).
+	// Sparse is the input as a sparse edge list, the one representation
+	// of the request path. It must not be mutated while the request is
+	// in flight (the fingerprint taken at admission addresses the
+	// result).
+	Sparse *sparse.Graph
+	// Graph is a dense input, accepted for callers that hold one: it is
+	// read only by Input, which converts it where a request enters the
+	// serving or cluster tier. Set Sparse instead wherever you can.
 	Graph *graph.Graph
 	// Engine selects the implementation (default EngineGCA).
 	Engine gcacc.Engine
@@ -152,6 +160,16 @@ type Request struct {
 	// Fault, if non-nil, overrides Config.Fault for this request — the
 	// HTTP layer's opt-in chaos mode threads per-request schedules here.
 	Fault *fault.Injector
+}
+
+// Input returns the request's graph as a sparse edge list. A request
+// that carries only the dense Graph is converted with sparse.FromDense,
+// once: Input keeps the result in Sparse and drops Graph.
+func (r *Request) Input() *sparse.Graph {
+	if r.Sparse == nil && r.Graph != nil {
+		r.Sparse, r.Graph = sparse.FromDense(r.Graph), nil
+	}
+	return r.Sparse
 }
 
 // Result is what a caller gets back. Labels is the caller's own copy.
@@ -263,9 +281,6 @@ func New(cfg Config) *Service {
 	if cfg.MaxVertices <= 0 {
 		cfg.MaxVertices = graph.MaxParseVertices
 	}
-	if cfg.DenseCutoff == 0 {
-		cfg.DenseCutoff = gcacc.DenseCutoff
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = fault.RealClock()
 	}
@@ -320,7 +335,8 @@ func (s *Service) Config() Config { return s.cfg }
 // inadmissible requests.
 func (s *Service) Submit(ctx context.Context, req Request) (*Result, error) {
 	s.metrics.submitted.Inc()
-	if req.Graph == nil {
+	g := req.Input()
+	if g == nil {
 		s.metrics.rejectedInvalid.Inc()
 		return nil, ErrNilGraph
 	}
@@ -328,14 +344,14 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Result, error) {
 		s.metrics.rejectedInvalid.Inc()
 		return nil, fmt.Errorf("%w: %d", ErrInvalidEngine, int(req.Engine))
 	}
-	if req.Graph.N() > s.cfg.MaxVertices {
+	if g.N() > s.cfg.MaxVertices {
 		s.metrics.rejectedInvalid.Inc()
-		return nil, fmt.Errorf("%w: %d vertices, cap %d", ErrTooLarge, req.Graph.N(), s.cfg.MaxVertices)
+		return nil, fmt.Errorf("%w: %d vertices, cap %d", ErrTooLarge, g.N(), s.cfg.MaxVertices)
 	}
-	if s.cfg.DenseCutoff > 0 && !req.Engine.Sparse() && req.Graph.N() > s.cfg.DenseCutoff {
+	if !req.Engine.Sparse() && g.N() > gcacc.DenseCutoff {
 		s.metrics.rejectedInvalid.Inc()
 		return nil, fmt.Errorf("%w: engine %q cannot process %d vertices (dense cutoff %d); use a sparse-capable engine (e.g. liutarjan, logdiameter, sequential)",
-			ErrDenseOnly, req.Engine, req.Graph.N(), s.cfg.DenseCutoff)
+			ErrDenseOnly, req.Engine, g.N(), gcacc.DenseCutoff)
 	}
 	if err := ctx.Err(); err != nil {
 		// A zero-budget deadline is rejected here, before the queue: it
@@ -347,7 +363,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Result, error) {
 	useCache := s.cfg.CacheEntries > 0 && !req.NoCache // s.cache != nil, read without mu
 	var key cacheKey
 	if useCache {
-		key = cacheKey{fp: req.Graph.Fingerprint(), engine: req.Engine}
+		key = cacheKey{fp: g.Fingerprint(), engine: req.Engine}
 	}
 
 	for {
@@ -591,7 +607,7 @@ func (s *Service) attempt(jb *job, engine gcacc.Engine, degraded bool, wait time
 		opts.Fault = inj
 	}
 	start := s.clock.Now()
-	rep, err := gcacc.ConnectedComponentsWithContext(jb.ctx, jb.req.Graph, opts)
+	rep, err := gcacc.ConnectedComponentsSparse(jb.ctx, jb.req.Sparse, opts)
 	run := s.clock.Now().Sub(start)
 	if err != nil {
 		return nil, err

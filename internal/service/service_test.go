@@ -12,6 +12,7 @@ import (
 
 	"gcacc"
 	"gcacc/internal/graph"
+	"gcacc/internal/sparse"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -323,41 +324,38 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 }
 
-// TestAdmissionDenseCutoff pins the dense-engine guardrail: above the
-// cutoff, dense-only engines are rejected with ErrDenseOnly while the
-// sparse-capable ones run; a negative cutoff disables the check.
+// TestAdmissionDenseCutoff pins the dense-engine guardrail: above
+// gcacc.DenseCutoff, dense-only engines are rejected with ErrDenseOnly
+// while the sparse-capable ones run. The cutoff is the constant ToDense
+// enforces, not a knob, so no configuration can admit a graph the dense
+// engines would then fail on. A sparse graph just above it costs a few
+// bytes.
 func TestAdmissionDenseCutoff(t *testing.T) {
-	svc := New(Config{MaxVertices: 64, DenseCutoff: 8})
+	svc := New(Config{MaxVertices: 2 * gcacc.DenseCutoff})
 	defer svc.Close()
 	ctx := context.Background()
 
-	big := graph.Path(9)
+	big := sparse.New(gcacc.DenseCutoff + 1)
+	big.AddEdge(0, gcacc.DenseCutoff)
 	for _, e := range gcacc.Engines() {
-		_, err := svc.Submit(ctx, Request{Graph: big, Engine: e})
+		res, err := svc.Submit(ctx, Request{Sparse: big, Engine: e})
 		if e.Sparse() {
 			if err != nil {
 				t.Errorf("sparse engine %s above cutoff: %v", e, err)
+			} else if res.Components != gcacc.DenseCutoff || res.Labels[gcacc.DenseCutoff] != 0 {
+				t.Errorf("sparse engine %s above cutoff: %d components", e, res.Components)
 			}
 		} else if !errors.Is(err, ErrDenseOnly) {
 			t.Errorf("dense engine %s above cutoff: err = %v, want ErrDenseOnly", e, err)
 		}
 	}
-	// At the cutoff, every engine is admitted.
-	if _, err := svc.Submit(ctx, Request{Graph: graph.Path(8), Engine: gcacc.EngineGCA}); err != nil {
-		t.Errorf("dense engine at cutoff: %v", err)
-	}
-
-	// The default cutoff is gcacc.DenseCutoff; a negative value disables
-	// the guardrail entirely.
-	def := New(Config{})
-	if got := def.Config().DenseCutoff; got != gcacc.DenseCutoff {
-		t.Errorf("default DenseCutoff = %d, want %d", got, gcacc.DenseCutoff)
-	}
-	def.Close()
-	off := New(Config{MaxVertices: 64, DenseCutoff: -1})
-	defer off.Close()
-	if _, err := off.Submit(ctx, Request{Graph: big, Engine: gcacc.EngineNCell}); err != nil {
-		t.Errorf("guardrail disabled: %v", err)
+	// At the cutoff, every engine is admitted: an expired context is the
+	// first thing to stop a dense engine there, after admission.
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	atCutoff := Request{Sparse: sparse.New(gcacc.DenseCutoff), Engine: gcacc.EngineGCA}
+	if _, err := svc.Submit(done, atCutoff); !errors.Is(err, context.Canceled) {
+		t.Errorf("dense engine at cutoff: err = %v, want admission then context.Canceled", err)
 	}
 }
 

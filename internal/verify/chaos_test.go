@@ -14,6 +14,7 @@ import (
 	"gcacc/internal/fault"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // chaosEnvInt reads a positive integer tuning knob from the environment.
@@ -74,6 +75,7 @@ func TestChaosSoak(t *testing.T) {
 	defer svc.Close()
 
 	cases := Corpus(corpusN, seed)
+	inputs := sparseInputs(cases)
 	truths := make([][]int, len(cases))
 	for i, c := range cases {
 		truths[i] = graph.ConnectedComponentsUnionFind(c.Graph)
@@ -104,7 +106,7 @@ func TestChaosSoak(t *testing.T) {
 			for i := 0; i < requests/clients; i++ {
 				ci := rng.Intn(len(cases))
 				req := service.Request{
-					Graph:   cases[ci].Graph,
+					Sparse:  inputs[ci],
 					Engine:  engineMix[rng.Intn(len(engineMix))],
 					NoCache: rng.Intn(3) == 0,
 				}
@@ -170,4 +172,14 @@ func TestChaosSoak(t *testing.T) {
 	if st.Faults == nil || !st.Faults.Any() {
 		t.Error("stats do not surface the injector counters")
 	}
+}
+
+// sparseInputs converts the corpus to the serving tier's request
+// representation once, so concurrent clients share read-only graphs.
+func sparseInputs(cases []Case) []*sparse.Graph {
+	out := make([]*sparse.Graph, len(cases))
+	for i, c := range cases {
+		out[i] = sparse.FromDense(c.Graph)
+	}
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"gcacc/internal/cluster"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // ClusterOptions configures the cluster conformance harness: the shared
@@ -149,12 +150,15 @@ func runClusterTopology(opt ClusterOptions, r int, engines []gcacc.Engine, cases
 				}
 			}
 
+			// The ring places the dense graph's fingerprint; the nodes key
+			// on the sparse one, which is the same digest.
 			wantOwner := top.Nodes[0].Owner(c.Graph.Fingerprint())
+			input := sparse.FromDense(c.Graph)
 			// Every replica is an entry point — for R > 1 most of them do
 			// not own the key, so the request must survive being sent to
 			// the wrong shard.
 			for _, node := range top.Nodes {
-				res, err := node.Submit(ctx, service.Request{Graph: c.Graph, Engine: e})
+				res, err := node.Submit(ctx, service.Request{Sparse: input, Engine: e})
 				if err != nil {
 					check(false, "cluster/submit", "entry node %d: %v", node.Self(), err)
 					continue
@@ -189,9 +193,9 @@ func runClusterTopology(opt ClusterOptions, r int, engines []gcacc.Engine, cases
 	// duplicate of case 0 to pin in-batch coalescing.
 	items := make([]cluster.BatchItem, 0, len(cases)+1)
 	for _, c := range cases {
-		items = append(items, cluster.BatchItem{Graph: c.Graph})
+		items = append(items, cluster.BatchItem{Graph: sparse.FromDense(c.Graph)})
 	}
-	items = append(items, cluster.BatchItem{Graph: cases[0].Graph})
+	items = append(items, cluster.BatchItem{Graph: sparse.FromDense(cases[0].Graph)})
 	outs, err := top.Nodes[0].SubmitBatch(ctx, items)
 	if err != nil {
 		return fmt.Errorf("verify: %s batch: %w", path, err)

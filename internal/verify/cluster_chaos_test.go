@@ -82,6 +82,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	defer top.Close()
 
 	cases := Corpus(corpusN, seed)
+	inputs := sparseInputs(cases)
 	truths := make([][]int, len(cases))
 	for i, c := range cases {
 		truths[i] = graph.ConnectedComponentsUnionFind(c.Graph)
@@ -140,7 +141,7 @@ func TestClusterChaosSoak(t *testing.T) {
 				ci := rng.Intn(len(cases))
 				entry := top.Nodes[rng.Intn(replicas)]
 				res, err := entry.Submit(context.Background(), service.Request{
-					Graph:   cases[ci].Graph,
+					Sparse:  inputs[ci],
 					Engine:  engineMix[rng.Intn(len(engineMix))],
 					NoCache: rng.Intn(3) == 0,
 				})

@@ -37,6 +37,7 @@ import (
 	"gcacc/internal/fault"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
+	"gcacc/internal/sparse"
 )
 
 // Options configures a harness run.
@@ -94,7 +95,7 @@ type runner struct {
 
 func (r *runner) run(g *graph.Graph) (*gcacc.Report, error) {
 	if r.svc != nil {
-		res, err := r.svc.Submit(context.Background(), service.Request{Graph: g, Engine: r.engine})
+		res, err := r.svc.Submit(context.Background(), service.Request{Sparse: sparse.FromDense(g), Engine: r.engine})
 		if err != nil {
 			return nil, err
 		}
