@@ -255,20 +255,40 @@ func BenchmarkGCAvsBaselines(b *testing.B) {
 // committed trajectory (gca-benchjson), pinning the per-worker
 // allocation flatness the global stepping pool guarantees: the curve
 // must stay level as workers grow, not climb.
+//
+// The n=128/m=256/workers=1 case is the shape the serving benchmark's
+// oneshot-gca workload sends: a sparse random graph on one worker.
 func BenchmarkEngineWorkers(b *testing.B) {
+	run := func(name string, g *graph.Graph, w int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Run(g, core.Options{Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("n=128/m=256/workers=1", benchSparseGraph(128, 256), 1)
 	for _, n := range []int{128, 1024} {
 		g := benchGraph(n)
 		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Run(g, core.Options{Workers: w}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			run(fmt.Sprintf("n=%d/workers=%d", n, w), g, w)
 		}
 	}
+}
+
+// benchSparseGraph draws m random edges (self-loops and repeats dropped,
+// so slightly fewer may remain) on n vertices.
+func benchSparseGraph(n, m int) *graph.Graph {
+	rng := rand.New(rand.NewSource(2007))
+	g := graph.New(n)
+	for i := 0; i < m; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.AddEdge(u, v)
+		}
+	}
+	return g
 }
 
 // BenchmarkDesignSpaceNCell is the Section-3 design-space ablation: the

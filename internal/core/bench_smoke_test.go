@@ -2,9 +2,10 @@ package core_test
 
 // Environment-gated performance smoke gates, run by `make bench-smoke`
 // (and its CI job) with GCACC_BENCH_SMOKE=1. Unlike the measurement
-// benchmarks these are pass/fail: they catch the two regressions the
-// active-region scheduling work exists to prevent — the kernel fast path
-// falling behind the generic per-cell path, and worker fan-out making
+// benchmarks these are pass/fail: they catch the regressions the
+// active-region scheduling and fused-reduce work exist to prevent — the
+// kernel fast path falling behind the generic per-cell path, a default
+// run no longer fusing its reduce generations, and worker fan-out making
 // the engine slower instead of flat-or-faster — plus a generous
 // wall-clock ceiling on the n=1024 point so a superlinear blow-up fails
 // the build rather than merely slowing it.
@@ -80,6 +81,30 @@ func TestBenchSmokeFastPathBeatsGeneric(t *testing.T) {
 	t.Logf("n=%d: fast path %v, generic path %v", n, fast, generic)
 	if fast >= generic {
 		t.Fatalf("kernel fast path (%v) is not faster than the generic per-cell path (%v)", fast, generic)
+	}
+}
+
+// TestBenchSmokeFusedBeatsStepped fails the build if a default run stops
+// taking the one-pass reduce path: core.Run with nothing observing must
+// beat the same run with a no-op observer, which steps every
+// sub-generation. A default observer or hook that silently turned fusion
+// off would make the two runs cost the same.
+func TestBenchSmokeFusedBeatsStepped(t *testing.T) {
+	benchSmokeEnabled(t)
+	const n = 256
+	g := graph.Gnp(n, 0.5, rand.New(rand.NewSource(2007)))
+	noop := gca.ObserverFunc(func(*gca.Field, *gca.StepStats) {})
+	run := func(opt core.Options) func() error {
+		return func() error {
+			_, err := core.Run(g, opt)
+			return err
+		}
+	}
+	fused := medianRunTime(t, 3, run(core.Options{Workers: 1}))
+	stepped := medianRunTime(t, 3, run(core.Options{Workers: 1, Observer: noop}))
+	t.Logf("n=%d: fused %v, stepped %v", n, fused, stepped)
+	if fused >= stepped {
+		t.Fatalf("default run (%v) is not faster than the sub-generation-stepped run (%v): the fused reduce path is off", fused, stepped)
 	}
 }
 

@@ -17,3 +17,10 @@ func NewProgramRule(n int) gca.Rule { return rule{lay: Layout{N: n}} }
 func NewProgramFieldForTest(g *graph.Graph) *gca.Field {
 	return newProgramField(g, Layout{N: g.N()})
 }
+
+// FuseReduces is the schedule rewrite Run applies when nothing observes
+// sub-generations: each reduce generation becomes one fused context.
+var FuseReduces = fuseReduces
+
+// IsFusedReduce reports whether ctx commits a whole reduce generation.
+var IsFusedReduce = isFusedReduce

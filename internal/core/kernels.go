@@ -19,8 +19,10 @@ import (
 // assume its whole [lo, hi) range shares one row (and, for the sparse
 // column-0 generations, is a single cell), so all row/column arithmetic
 // and per-row global operands (C(row), T(row), the row index itself)
-// hoist out of the inner loop, which is branch-free over contiguous
-// memory. Passive cells never reach a kernel: the machine bulk-copies
+// hoist out of the inner loop. The sweeps slice their run once and range
+// over the window, so the loop carries no bounds checks, and they select
+// values with min and conditional moves, so it carries no data-dependent
+// branch. Passive cells never reach a kernel: the machine bulk-copies
 // them (sweep mode) or skips them outright (span mode).
 //
 // Kernels follow the machine's buffer discipline (enforced by the
@@ -28,7 +30,9 @@ import (
 // never alias. The lockstep tests in kernel_lockstep_test.go and
 // plan_lockstep_test.go pin kernels + plans bit-identical — field
 // contents, active counts and read counts — to the generic path for
-// every committed sub-generation at several worker counts.
+// every committed sub-generation at several worker counts, and
+// fused_test.go pins the one-pass reduce (kernelSuffixMin) to the field
+// the stepped sub-generations leave.
 
 var _ gca.KernelPlanner = rule{}
 
@@ -39,6 +43,9 @@ var _ gca.KernelPlanner = rule{}
 // KernelFor paid (visible as alloc growth in the bench trajectory).
 type kernelTable struct {
 	byGen [][]gca.Kernel
+	// suffixMin is the one-pass form of a whole reduce generation (3 or
+	// 7): the row suffix-min its ⌈log n⌉ sub-generations leave behind.
+	suffixMin gca.Kernel
 }
 
 // kernelCache maps field size n to its *kernelTable.
@@ -62,10 +69,11 @@ func buildKernelTable(n int) *kernelTable {
 	t.byGen[GenMaskAdj] = one(kernelMaskAdj(n))
 	reduce := make([]gca.Kernel, logn)
 	for s := range reduce {
-		reduce[s] = kernelReduce(n, 1<<uint(s))
+		reduce[s] = kernelReduce(1 << uint(s))
 	}
 	t.byGen[GenReduceT] = reduce
 	t.byGen[GenReduceT2] = reduce
+	t.suffixMin = kernelSuffixMin(n)
 	t.byGen[GenDefaultT] = one(kernelDefaultT(n))
 	t.byGen[GenDefaultT2] = t.byGen[GenDefaultT]
 	t.byGen[GenMaskComp] = one(kernelMaskComp(n))
@@ -87,6 +95,9 @@ func (r rule) KernelFor(ctx gca.Context) gca.Kernel {
 	if ctx.Generation < 0 || ctx.Generation >= len(t.byGen) {
 		return nil
 	}
+	if isFusedReduce(ctx) {
+		return t.suffixMin
+	}
 	ks := t.byGen[ctx.Generation]
 	if ctx.Sub < 0 || ctx.Sub >= len(ks) {
 		return nil
@@ -102,6 +113,7 @@ func (r rule) KernelFor(ctx gca.Context) gca.Kernel {
 //	init/copyC/copyT   all n+1 rows            (copyT's bottom row reads and discards)
 //	maskAdj/maskComp   the n square rows
 //	reduce sub s       columns [0, n−2ˢ) of the square rows
+//	reduce, fused      the n square rows (subFused: all sub-generations)
 //	defaultT/shortcut/finalMin
 //	                   column 0 of the square rows (n cells — span mode)
 //	spread             columns [1, n) of the square rows
@@ -117,6 +129,9 @@ func (r rule) PlanFor(ctx gca.Context) gca.Plan {
 	case GenMaskAdj, GenMaskComp:
 		return gca.Plan{Lo: 0, SegLen: n, Stride: n, Count: n}
 	case GenReduceT, GenReduceT2:
+		if ctx.Sub == subFused {
+			return gca.Plan{Lo: 0, SegLen: n, Stride: n, Count: n}
+		}
 		seg := n - 1<<uint(ctx.Sub)
 		if seg < 0 {
 			seg = 0
@@ -166,14 +181,16 @@ func kernelBroadcast(n int, keepBottom bool) gca.Kernel {
 			copy(next[lo:hi], cur[lo:hi]) // reads performed and discarded
 			return 0, hi - lo, nil
 		}
+		dst, src := next[lo:hi], cur[lo:hi]
+		src = src[:len(dst)]
 		active := 0
 		cn := (lo % n) * n // col(i)·n, maintained incrementally
-		for i := lo; i < hi; i++ {
-			v := cur[cn]
-			if v != cur[i] {
+		for i := range dst {
+			d, v := src[i], cur[cn]
+			dst[i] = v
+			if v != d {
 				active++
 			}
-			next[i] = v
 			cn += n
 		}
 		return active, hi - lo, nil
@@ -188,17 +205,22 @@ func kernelMaskAdj(n int) gca.Kernel {
 	nn := n * n
 	return func(lo, hi int, cur, next, a []gca.Value) (int, int, error) {
 		cRow := cur[nn+lo/n]
+		dst, src, adj := next[lo:hi], cur[lo:hi], a[lo:hi]
+		src, adj = src[:len(dst)], adj[:len(dst)]
 		active := 0
-		for i := lo; i < hi; i++ {
-			d := cur[i]
-			v := gca.Inf
-			if a[i] == 1 && d != cRow {
-				v = d
+		for i := range dst {
+			d := src[i]
+			v := d
+			if d == cRow {
+				v = gca.Inf
 			}
+			if adj[i] != 1 {
+				v = gca.Inf
+			}
+			dst[i] = v
 			if v != d {
 				active++
 			}
-			next[i] = v
 		}
 		return active, hi - lo, nil
 	}
@@ -208,20 +230,56 @@ func kernelMaskAdj(n int) gca.Kernel {
 // tree min-reduction: cell (row, col) reads cell (row, col+step). The
 // plan already stops the run at col = n−step, so the read never crosses
 // the row boundary and the loop is an unconditional strided min.
-func kernelReduce(n, step int) gca.Kernel {
+func kernelReduce(step int) gca.Kernel {
 	return func(lo, hi int, cur, next, _ []gca.Value) (int, int, error) {
+		dst, src, far := next[lo:hi], cur[lo:hi], cur[lo+step:hi+step]
+		src, far = src[:len(dst)], far[:len(dst)]
 		active := 0
-		for i := lo; i < hi; i++ {
-			d := cur[i]
-			v := cur[i+step]
-			if v < d {
-				next[i] = v
+		for i := range dst {
+			d := src[i]
+			v := min(d, far[i])
+			dst[i] = v
+			if v != d {
 				active++
-			} else {
-				next[i] = d
 			}
 		}
 		return active, hi - lo, nil
+	}
+}
+
+// kernelSuffixMin is a whole reduce generation (3 or 7) in one pass.
+// Sub-generation s sets X[c] ← min(X[c], X[c+2ˢ]) where c+2ˢ < n, so
+// after k of them X[c] = min(row[c .. min(c+2ᵏ, n)−1]); with
+// 2^⌈log n⌉ ≥ n the ⌈log n⌉ sub-generations leave every square row
+// holding its suffix minimum, which this kernel writes directly with one
+// backward sweep. A shard may end the run mid-row, so the row's tail
+// cur[hi:rowEnd] seeds the running minimum. Active counts the cells that
+// differ from the previous generation; reads is the sum of the global
+// reads the stepped sub-generations would perform on [lo, hi).
+func kernelSuffixMin(n int) gca.Kernel {
+	logn := Log2Ceil(n)
+	return func(lo, hi int, cur, next, _ []gca.Value) (int, int, error) {
+		rowLo := lo / n * n
+		m := gca.Inf
+		for _, v := range cur[hi : rowLo+n] {
+			m = min(m, v)
+		}
+		dst, src := next[lo:hi], cur[lo:hi]
+		src = src[:len(dst)]
+		active := 0
+		for i := len(dst) - 1; i >= 0; i-- {
+			d := src[i]
+			m = min(m, d)
+			dst[i] = m
+			if m != d {
+				active++
+			}
+		}
+		reads := 0
+		for s := 0; s < logn; s++ {
+			reads += max(0, min(hi, rowLo+n-1<<uint(s))-lo)
+		}
+		return active, reads, nil
 	}
 }
 
@@ -246,25 +304,30 @@ func kernelDefaultT(n int) gca.Kernel {
 
 // kernelMaskComp is generation 6: square cells read C(col) from D_N[col]
 // and keep T(col) exactly when C(col) = row and T(col) ≠ row. The plan
-// excludes the bottom row.
+// excludes the bottom row, so the run's C(col) operands are the
+// contiguous bottom-row slice under its columns.
 func kernelMaskComp(n int) gca.Kernel {
 	nn := n * n
 	return func(lo, hi int, cur, next, _ []gca.Value) (int, int, error) {
 		row := lo / n
 		rv := gca.Value(row)
 		col := lo - row*n
+		dst, src, comp := next[lo:hi], cur[lo:hi], cur[nn+col:nn+col+hi-lo]
+		src, comp = src[:len(dst)], comp[:len(dst)]
 		active := 0
-		for i := lo; i < hi; i++ {
-			d := cur[i]
-			v := gca.Inf
-			if cur[nn+col] == rv && d != rv {
-				v = d
+		for i := range dst {
+			d := src[i]
+			v := d
+			if d == rv {
+				v = gca.Inf
 			}
+			if comp[i] != rv {
+				v = gca.Inf
+			}
+			dst[i] = v
 			if v != d {
 				active++
 			}
-			next[i] = v
-			col++
 		}
 		return active, hi - lo, nil
 	}
@@ -277,12 +340,15 @@ func kernelMaskComp(n int) gca.Kernel {
 func kernelSpread(n int) gca.Kernel {
 	return func(lo, hi int, cur, next, _ []gca.Value) (int, int, error) {
 		t := cur[lo/n*n]
+		dst, src := next[lo:hi], cur[lo:hi]
+		src = src[:len(dst)]
 		active := 0
-		for i := lo; i < hi; i++ {
-			if t != cur[i] {
+		for i := range dst {
+			d := src[i]
+			dst[i] = t
+			if t != d {
 				active++
 			}
-			next[i] = t
 		}
 		return active, hi - lo, nil
 	}

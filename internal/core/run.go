@@ -9,7 +9,10 @@ import (
 	"gcacc/internal/graph"
 )
 
-// Options configures a run of the GCA program.
+// Options configures a run of the GCA program. Setting any of
+// CollectStats, CapturePointers, Observer or Hooks makes the run commit
+// every sub-generation as its own step; without them the reduce
+// generations are committed in one pass each (see Run).
 type Options struct {
 	// Ctx, if non-nil, is checked between committed generations: a
 	// cancelled or expired context aborts the run with the context's
@@ -37,6 +40,34 @@ type Options struct {
 	Iterations int
 }
 
+// subFused is the Sub of a reduce context (generation 3 or 7) that
+// commits the whole generation — all ⌈log n⌉ sub-generations — as one
+// machine step. Run issues it only when nothing observes sub-generations;
+// the generic per-cell path has no counterpart, so the kernel path (which
+// such a run always takes) is the only one that evaluates it.
+const subFused = -1
+
+func isReduce(gen int) bool { return gen == GenReduceT || gen == GenReduceT2 }
+
+func isFusedReduce(ctx gca.Context) bool { return isReduce(ctx.Generation) && ctx.Sub == subFused }
+
+// fuseReduces collapses the sub-generations of every reduce generation
+// in sched into one subFused context, in place, and returns the shortened
+// schedule.
+func fuseReduces(sched []gca.Context) []gca.Context {
+	out := sched[:0]
+	for _, ctx := range sched {
+		if isReduce(ctx.Generation) {
+			if ctx.Sub != 0 {
+				continue
+			}
+			ctx.Sub = subFused
+		}
+		out = append(out, ctx)
+	}
+	return out
+}
+
 // GenRecord summarises one committed sub-generation of a run.
 type GenRecord struct {
 	Iteration  int // outer iteration, 0-based; -1 for generation 0
@@ -58,9 +89,10 @@ type Result struct {
 	N int
 	// Iterations is the number of outer iterations executed.
 	Iterations int
-	// Generations is the total number of committed synchronous steps,
-	// counting every sub-generation (equals TotalGenerations(n) when
-	// Options.Iterations was 0 and stats confirm the closed form).
+	// Generations is the number of synchronous steps of the paper's
+	// schedule the run executed, counting every sub-generation, also
+	// when a reduce generation was committed in one pass (equals
+	// TotalGenerations(n) when Options.Iterations was 0).
 	Generations int
 	// Records holds one entry per committed step when CollectStats was
 	// set, in execution order.
@@ -129,7 +161,11 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 			return fmt.Errorf("core: iteration %d generation %d sub %d: %w",
 				ctx.Iteration, ctx.Generation, ctx.Sub, err)
 		}
-		res.Generations++
+		if isFusedReduce(ctx) {
+			res.Generations += SubGenerations(n)
+		} else {
+			res.Generations++
+		}
 		if opt.CollectStats {
 			res.Records = append(res.Records, GenRecord{
 				Iteration:  ctx.Iteration,
@@ -145,6 +181,14 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 		return nil
 	}
 
+	// Nothing between the sub-generations of a reduce generation is
+	// observable without stats, pointer capture, an observer or hooks,
+	// so such a run commits each reduce generation as one suffix-min
+	// step (kernelSuffixMin): the same field, in one row sweep.
+	if !opt.CollectStats && !opt.CapturePointers && opt.Observer == nil &&
+		opt.Hooks.BeforeStep == nil && opt.Hooks.WorkerStall == nil {
+		sched = fuseReduces(sched)
+	}
 	for _, ctx := range sched {
 		if err := step(ctx); err != nil {
 			return nil, err
@@ -166,12 +210,11 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 func newProgramField(g *graph.Graph, lay Layout) *gca.Field {
 	field := gca.NewField(lay.Size())
 	adj := g.Adjacency()
-	n := lay.N
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if adj.Get(j, i) {
-				field.SetCell(lay.Index(j, i), gca.Cell{A: 1})
-			}
+	cols := make([]int, 0, lay.N)
+	for j := 0; j < lay.N; j++ {
+		cols = adj.RowIndices(j, cols[:0])
+		for _, i := range cols {
+			field.SetCell(j*lay.N+i, gca.Cell{A: 1})
 		}
 	}
 	return field

@@ -237,6 +237,13 @@ func fieldBufferVars(pkg *Package) (cur, next *types.Var) {
 //     indexed through a value derived from that range — the machine only
 //     gap-copies cells outside the plan's runs, so an out-of-range write
 //     would silently race the copy (kernel-range-write).
+//
+// A local bound to a sub-slice of either buffer (`src, dst := cur[lo:hi],
+// next[lo:hi]`, the bounds-check-free loop idiom) is a window: element
+// accesses, ranging, returns and calls through it carry its buffer's
+// discipline. A window of next must be bound with both bounds derived
+// from the range; writes through it may then use any index, since Go
+// bounds-checks them against the window.
 func checkKernelDiscipline(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
@@ -378,19 +385,24 @@ func refsAny(info *types.Info, expr ast.Expr, set map[types.Object]bool) bool {
 // discipline over the raw buffer parameters, and — when rangeSeeds is
 // non-empty — the active-range discipline over every next write.
 func checkKernelBody(pass *Pass, info *types.Info, body *ast.BlockStmt, where string, curObj, nextObj types.Object, rangeSeeds []types.Object) {
+	// windows maps each local bound to a sub-slice of a buffer (or of
+	// another window) to that buffer.
+	windows := map[types.Object]types.Object{}
+
 	// paramOf resolves an expression to the buffer parameter it is rooted
-	// in: the bare identifier, an index, or a slice of it.
+	// in: the bare identifier or a window of it, an index, or a slice.
 	paramOf := func(expr ast.Expr) types.Object {
 		for {
 			switch e := ast.Unparen(expr).(type) {
 			case *ast.Ident:
-				switch info.Uses[e] {
+				switch obj := info.Uses[e]; obj {
 				case curObj:
 					return curObj
 				case nextObj:
 					return nextObj
+				default:
+					return windows[obj]
 				}
-				return nil
 			case *ast.IndexExpr:
 				expr = e.X
 			case *ast.SliceExpr:
@@ -402,15 +414,48 @@ func checkKernelBody(pass *Pass, info *types.Info, body *ast.BlockStmt, where st
 	}
 	isBare := func(expr ast.Expr) types.Object {
 		if id, ok := ast.Unparen(expr).(*ast.Ident); ok {
-			switch info.Uses[id] {
+			switch obj := info.Uses[id]; obj {
 			case curObj:
 				return curObj
 			case nextObj:
 				return nextObj
+			default:
+				return windows[obj]
 			}
 		}
 		return nil
 	}
+	isWindow := func(expr ast.Expr) bool {
+		id, ok := ast.Unparen(expr).(*ast.Ident)
+		return ok && windows[info.Uses[id]] != nil
+	}
+	// windowBinding returns the buffer the i-th assignment of as binds a
+	// window of, with the slice expression, or nil. Windows are bound
+	// before use, so one pass in source order finds windows of windows.
+	windowBinding := func(as *ast.AssignStmt, i int) (types.Object, *ast.SliceExpr) {
+		se, isSlice := ast.Unparen(as.Rhs[i]).(*ast.SliceExpr)
+		if _, isIdent := as.Lhs[i].(*ast.Ident); !isSlice || !isIdent {
+			return nil, nil
+		}
+		return paramOf(se.X), se
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i := range as.Rhs {
+			if buf, _ := windowBinding(as, i); buf != nil {
+				id := as.Lhs[i].(*ast.Ident)
+				if obj := info.Defs[id]; obj != nil {
+					windows[obj] = buf
+				} else if obj := info.Uses[id]; obj != nil {
+					windows[obj] = buf
+				}
+			}
+		}
+		return true
+	})
 
 	writeTargets := map[ast.Expr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -438,19 +483,28 @@ func checkKernelBody(pass *Pass, info *types.Info, body *ast.BlockStmt, where st
 				base := lhs
 				if ix, ok := lhs.(*ast.IndexExpr); ok {
 					base = ix.X
-					if rooted != nil && paramOf(ix.X) == nextObj && !refsAny(info, ix.Index, rooted) {
+					if rooted != nil && paramOf(ix.X) == nextObj && !isWindow(ix.X) && !refsAny(info, ix.Index, rooted) {
 						pass.Reportf(lhs.Pos(), "kernel-range-write",
 							"%s writes %s at an index not derived from the kernel's [lo, hi) range; kernels must write only the runs the plan hands them",
 							where, exprString(lhs))
 					}
 				}
-				if paramOf(base) == curObj {
+				// Rebinding a window (`src = src[:n]`) writes no element.
+				if paramOf(base) == curObj && !isWindow(lhs) {
 					pass.Reportf(lhs.Pos(), "kernel-cur-write",
 						"%s writes the current-generation buffer via %s; kernels must read cur and write only next",
 						where, exprString(lhs))
 				}
 			}
-			for _, rhs := range n.Rhs {
+			for i, rhs := range n.Rhs {
+				if len(n.Lhs) == len(n.Rhs) && rooted != nil {
+					if buf, se := windowBinding(n, i); buf == nextObj && (se.Low == nil || se.High == nil ||
+						!refsAny(info, se.Low, rooted) || !refsAny(info, se.High, rooted)) {
+						pass.Reportf(se.Pos(), "kernel-range-write",
+							"%s binds a window of next with bounds not derived from the kernel's [lo, hi) range; kernels must write only the runs the plan hands them",
+							where)
+					}
+				}
 				if obj := isBare(rhs); obj != nil {
 					pass.Reportf(rhs.Pos(), "kernel-alias",
 						"%s aliases the %s buffer into a variable; kernels must not retain the raw buffers beyond the call",
@@ -467,7 +521,9 @@ func checkKernelBody(pass *Pass, info *types.Info, body *ast.BlockStmt, where st
 					where, exprString(n))
 			}
 		case *ast.RangeStmt:
-			if isBare(n.X) == nextObj {
+			// Ranging over a window of next for its indices alone reads
+			// nothing.
+			if isBare(n.X) == nextObj && (n.Value != nil || !isWindow(n.X)) {
 				pass.Reportf(n.X.Pos(), "kernel-next-read",
 					"%s ranges over the next-generation buffer; kernels must compute generation g from generation g−1 (cur) only",
 					where)
@@ -491,7 +547,7 @@ func checkKernelBody(pass *Pass, info *types.Info, body *ast.BlockStmt, where st
 				if paramOf(n.Args[0]) == curObj {
 					pass.Reportf(n.Args[0].Pos(), "kernel-cur-write",
 						"%s copies into the current-generation buffer; kernels must read cur and write only next", where)
-				} else if rooted != nil && paramOf(n.Args[0]) == nextObj {
+				} else if rooted != nil && paramOf(n.Args[0]) == nextObj && !isWindow(n.Args[0]) {
 					// The destination must be an explicitly-bounded slice
 					// of next, both bounds derived from the range: a bare
 					// or half-open destination writes past the run.

@@ -82,6 +82,22 @@ func rangeKernel(lo, hi int, cur, next, a []Value) (int, int, error) {
 	return 0, 0, nil
 }
 
+// windowBadKernel breaks the discipline through windows: a window
+// carries its buffer's role, and a window of next must be bound with
+// range-derived bounds.
+func windowBadKernel(lo, hi int, cur, next []Value) (int, int, error) {
+	dst, src := next[lo:hi], cur[lo:hi]
+	src[0] = 1              // want "writes the current-generation buffer"
+	_ = dst[0]              // want "reads an element of the next-generation buffer"
+	for _, v := range dst { // want "ranges over the next-generation buffer"
+		_ = v
+	}
+	wide := next[0:hi] // want "binds a window of next with bounds not derived"
+	wide[0] = 1
+	consumeValues(src) // want "passes the cur buffer"
+	return 0, 0, nil
+}
+
 // badCommit moves buffer contents against the grain outside the
 // sanctioned commit helpers (swap, commitRange).
 func (f *Field) badCommit(scratch []Cell) {

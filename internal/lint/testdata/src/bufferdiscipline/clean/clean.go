@@ -81,6 +81,26 @@ func broadcastKernel(lo, hi int, cur, next, a []Value) (int, int, error) {
 	return hi - lo, 2 * (hi - lo), nil
 }
 
+// windowKernel mirrors the bounds-check-free sweeps: the run's windows
+// of next and cur are sliced once, cur windows are narrowed to the next
+// window's length, and the loop ranges over the next window's indices
+// only.
+func windowKernel(lo, hi int, cur, next, a []Value) (int, int, error) {
+	dst, src, far := next[lo:hi], cur[lo:hi], cur[lo+1:hi+1]
+	src, far = src[:len(dst)], far[:len(dst)]
+	active := 0
+	for i := range dst {
+		d := src[i]
+		v := min(d, far[i])
+		dst[i] = v
+		if v != d {
+			active++
+		}
+	}
+	copy(dst, src)
+	return active, len(dst), nil
+}
+
 // singleCell mirrors the column-0 kernels, which blank the upper bound:
 // lo alone still roots the range discipline.
 func singleCell(lo, _ int, cur, next, a []Value) (int, int, error) {
