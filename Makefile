@@ -25,7 +25,8 @@ test-race:
 
 # Custom stdlib-only analyzers for the model invariants (double-buffer
 # discipline, determinism, context plumbing, mutex guards, atomic access
-# discipline, pool Close pairing, lock ordering, errcheck).
+# discipline, pool Close pairing, lock ordering, errcheck) and dead code
+# (unused).
 # See internal/lint and TESTING.md.
 lint:
 	$(GO) run ./cmd/gca-lint -dir .

@@ -3,7 +3,9 @@
 // invariants (double-buffer discipline, rule purity), determinism and
 // context-plumbing requirements of the simulator packages, concurrency
 // hygiene (atomic access discipline, pool Close pairing, lock ordering),
-// the serving layer's mutex convention, and discarded-error hygiene.
+// the serving layer's mutex convention, discarded-error hygiene, and dead
+// code: the unused analyzer reports declarations under internal/ and
+// cmd/ that nothing outside their own package's tests consumes.
 //
 // With -gcasm it verifies GCA rule-language programs instead
 // (internal/gcasm/check): CRCW write conflicts, unknown registers,
@@ -72,20 +74,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	paths, err := loader.ModulePackages()
+	diags, npkgs, err := lint.Check(loader, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
-	}
-
-	var diags []lint.Diagnostic
-	for _, path := range paths {
-		pkg, err := loader.Load(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		diags = append(diags, lint.RunAnalyzers(pkg, analyzers)...)
 	}
 
 	if *jsonOut {
@@ -103,7 +95,7 @@ func run() int {
 			fmt.Println(d)
 		}
 		if len(diags) > 0 {
-			fmt.Fprintf(os.Stderr, "gca-lint: %d finding(s) in %d package(s)\n", len(diags), len(paths))
+			fmt.Fprintf(os.Stderr, "gca-lint: %d finding(s) in %d package(s)\n", len(diags), npkgs)
 		}
 	}
 	if len(diags) > 0 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gcacc/internal/cluster"
 	"gcacc/internal/fault"
 	"gcacc/internal/service"
 )
@@ -85,8 +86,8 @@ func TestComponentsHandlerDisconnectMidRun(t *testing.T) {
 		strings.NewReader(pathBody(8))).WithContext(ctx)
 	w := httptest.NewRecorder()
 	h(w, req)
-	if w.Code != statusClientClosedRequest {
-		t.Fatalf("status = %d, want %d (body %q)", w.Code, statusClientClosedRequest, w.Body.String())
+	if w.Code != cluster.StatusClientClosedRequest {
+		t.Fatalf("status = %d, want %d (body %q)", w.Code, cluster.StatusClientClosedRequest, w.Body.String())
 	}
 	errorBody(t, w)
 }

@@ -316,47 +316,11 @@ func componentsHandler(svc *service.Service, maxBody int64, chaos bool) http.Han
 		}
 		res, err := svc.Submit(r.Context(), req)
 		if err != nil {
-			writeError(w, statusOf(err), err)
+			writeError(w, cluster.StatusOf(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK,
 			buildComponentsResponse(req.Sparse.N(), res, r.URL.Query().Get("labels") != "0"))
-	}
-}
-
-// statusClientClosedRequest is nginx's non-standard 499 "client closed
-// request": the client disconnected before the response was written. The
-// stdlib has no constant for it. Nobody receives the response body — the
-// code exists so access logs and metrics can tell an abandoned request
-// from a server fault (500) or a served timeout (504).
-const statusClientClosedRequest = 499
-
-// statusOf maps serving-layer errors onto HTTP status codes — the
-// admission contract of the ISSUE: full queue means 429, not queueing
-// forever.
-func statusOf(err error) int {
-	switch {
-	case errors.Is(err, service.ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, service.ErrTooLarge):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, service.ErrDenseOnly):
-		// Well-formed request, but the named engine cannot process an
-		// input this size: 422, so clients can tell "pick a sparse
-		// engine" apart from "shrink the graph" (413).
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, service.ErrClosed), errors.Is(err, service.ErrBreakerOpen):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, service.ErrInvalidEngine), errors.Is(err, service.ErrNilGraph):
-		return http.StatusBadRequest
-	case errors.Is(err, service.ErrEnginePanic):
-		return http.StatusInternalServerError
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
 	}
 }
 

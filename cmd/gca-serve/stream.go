@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"gcacc/internal/cluster"
 	"gcacc/internal/stream"
 )
 
@@ -153,7 +154,7 @@ func (api *streamAPI) components(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamStatusOf maps streaming-tier errors onto HTTP status codes,
-// deferring to the service mapping (and its 499/504 context cases) for
+// deferring to cluster.StatusOf (and its 499/504 context cases) for
 // everything it does not know.
 func streamStatusOf(err error) int {
 	switch {
@@ -174,6 +175,6 @@ func streamStatusOf(err error) int {
 	case errors.Is(err, stream.ErrBadName):
 		return http.StatusBadRequest
 	default:
-		return statusOf(err)
+		return cluster.StatusOf(err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gcacc"
+	"gcacc/internal/cluster"
 	"gcacc/internal/fault"
 	"gcacc/internal/stream"
 )
@@ -173,9 +174,9 @@ func TestStreamClientDisconnect499(t *testing.T) {
 	w := httptest.NewRecorder()
 	time.AfterFunc(5*time.Millisecond, cancel)
 	mux.ServeHTTP(w, req)
-	if w.Code != statusClientClosedRequest {
+	if w.Code != cluster.StatusClientClosedRequest {
 		t.Fatalf("disconnect mid-recompute: status %d, want %d (body %q)",
-			w.Code, statusClientClosedRequest, w.Body.String())
+			w.Code, cluster.StatusClientClosedRequest, w.Body.String())
 	}
 
 	// The graph is still dirty but not poisoned: a patient client gets the

@@ -42,6 +42,21 @@ func ExampleTotalGenerations() {
 	// Output: 81
 }
 
+// Check an engine's labels, or any other labelling, against the
+// independent oracle: a valid labelling names each component by its
+// smallest vertex.
+func ExampleValidateLabels() {
+	g := gcacc.NewGraph(4)
+	g.AddEdge(0, 1)
+	g.AddEdge(2, 3)
+
+	fmt.Println(gcacc.ValidateLabels(g, []int{0, 0, 2, 2}))
+	fmt.Println(gcacc.ValidateLabels(g, []int{0, 0, 3, 3})) // 3 is not the minimum of {2, 3}
+	// Output:
+	// true
+	// false
+}
+
 // Transitive closure on the two-handed GCA.
 func ExampleTransitiveClosure() {
 	g := gcacc.NewGraph(4)

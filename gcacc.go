@@ -366,7 +366,8 @@ func TotalGenerations(n int) int { return core.TotalGenerations(n) }
 // is internally connected, and every label is the minimum vertex index of
 // its class. The checker is self-contained (its own flood fill, no engine
 // code), so callers can use it as an independent oracle for any engine's
-// output — the conformance harness (internal/verify, cmd/gca-verify) does.
+// output. It wraps graph.IsValidComponentLabelling, the oracle the
+// conformance harness (internal/verify, cmd/gca-verify) calls directly.
 func ValidateLabels(g *Graph, labels []int) bool {
 	return graph.IsValidComponentLabelling(g, labels)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -405,11 +406,17 @@ func TestStatusOf(t *testing.T) {
 		{service.ErrTooLarge, 413},
 		{ErrBatchTooLarge, 413},
 		{service.ErrDenseOnly, 422},
+		{service.ErrClosed, 503},
+		{service.ErrBreakerOpen, 503},
 		{ErrNodeDown, 503},
 		{ErrPeerDown, 503},
 		{ErrEmptyBatch, 400},
+		{service.ErrInvalidEngine, 400},
 		{service.ErrNilGraph, 400},
+		{service.ErrEnginePanic, 500},
 		{context.Canceled, 499},
+		{fmt.Errorf("wrapped: %w", context.Canceled), 499},
+		{fmt.Errorf("wrapped: %w", service.ErrQueueFull), 429},
 		{context.DeadlineExceeded, 504},
 		{&StatusError{Code: 422, Msg: "x"}, 422},
 		{errors.New("mystery"), 500},

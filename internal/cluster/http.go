@@ -39,9 +39,16 @@ func (e *StatusError) Error() string {
 	return e.Msg
 }
 
+// StatusClientClosedRequest is nginx's non-standard 499 "client closed
+// request": the client disconnected before the response was written. The
+// stdlib has no constant for it. Nobody receives the response body; the
+// code exists so access logs and metrics can tell an abandoned request
+// from a server fault (500) or a served timeout (504).
+const StatusClientClosedRequest = 499
+
 // StatusOf maps cluster- and serving-layer errors onto HTTP status
-// codes; it is the batch tier's per-item contract (and a superset of
-// gca-serve's single-request mapping).
+// codes. It is gca-serve's contract for single requests and the batch
+// tier's per-item contract: a full queue means 429, not queueing forever.
 func StatusOf(err error) int {
 	var se *StatusError
 	if errors.As(err, &se) {
@@ -55,6 +62,9 @@ func StatusOf(err error) int {
 	case errors.Is(err, service.ErrTooLarge), errors.Is(err, ErrBatchTooLarge):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, service.ErrDenseOnly):
+		// Well-formed request, but the named engine cannot process an
+		// input this size: 422, so clients can tell "pick a sparse
+		// engine" apart from "shrink the graph" (413).
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, service.ErrClosed), errors.Is(err, service.ErrBreakerOpen),
 		errors.Is(err, ErrNodeDown), errors.Is(err, ErrPeerDown):
@@ -65,7 +75,7 @@ func StatusOf(err error) int {
 	case errors.Is(err, service.ErrEnginePanic):
 		return http.StatusInternalServerError
 	case errors.Is(err, context.Canceled):
-		return 499 // nginx's "client closed request"
+		return StatusClientClosedRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	default:

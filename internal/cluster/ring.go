@@ -10,7 +10,7 @@
 // own.
 //
 // The design transfers the paper's partitioning discipline one level
-// up: just as internal/mparch folds n² virtual cells onto p physical
+// up: just as a p-processor GCA folds n² virtual cells onto p physical
 // processors by a fixed index map, the cluster folds the fingerprint
 // space onto R replicas by a fixed hash ring — ownership is a pure
 // function of (members, fingerprint), so every replica computes the

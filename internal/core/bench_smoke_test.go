@@ -56,7 +56,6 @@ func medianRunTime(t *testing.T, reps int, fn func() error) time.Duration {
 // stepSchedule drives one machine through the full Figure-2 schedule.
 func stepSchedule(n int, f *gca.Field, rule gca.Rule) error {
 	m := gca.NewMachine(f, rule, gca.WithWorkers(1))
-	defer m.Close()
 	for _, ctx := range core.Schedule(n, 0) {
 		if _, err := m.Step(ctx); err != nil {
 			return err

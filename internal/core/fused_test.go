@@ -56,8 +56,6 @@ func checkFusedLockstep(t *testing.T, c verify.Case, workers int) {
 	fuseField := core.NewProgramFieldForTest(c.Graph)
 	stepped := gca.NewMachine(stepField, core.NewProgramRule(n), gca.WithWorkers(workers))
 	fusing := gca.NewMachine(fuseField, core.NewProgramRule(n), gca.WithWorkers(workers))
-	defer stepped.Close()
-	defer fusing.Close()
 
 	var before, got, want []gca.Value
 	j := 0

@@ -58,8 +58,6 @@ func TestKernelLockstepOnCorpus(t *testing.T) {
 					}
 				}
 			}
-			km.Close()
-			gm.Close()
 		}
 	}
 }
@@ -95,7 +93,6 @@ func TestKernelShortcutRangeError(t *testing.T) {
 		}
 		m := gca.NewMachine(field, r, gca.WithWorkers(1))
 		_, err := m.Step(gca.Context{Generation: core.GenShortcut})
-		m.Close()
 		if err == nil {
 			t.Fatalf("generic=%v: invalid C value not reported", generic)
 		}

@@ -38,15 +38,6 @@ func (l Layout) Index(j, i int) int {
 	return j*l.N + i
 }
 
-// Row returns row(index).
-func (l Layout) Row(index int) int { return index / l.N }
-
-// Col returns col(index).
-func (l Layout) Col(index int) int { return index % l.N }
-
-// IsBottomRow reports whether index lies in D_N (row n).
-func (l Layout) IsBottomRow(index int) bool { return l.Row(index) == l.N }
-
 // ColumnZero returns the linear index of D<j>[0] — the cell holding C(j)
 // (and transiently T(j)) for node j.
 func (l Layout) ColumnZero(j int) int { return j * l.N }

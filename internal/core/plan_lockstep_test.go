@@ -81,9 +81,6 @@ func TestPlanLockstepOnCorpus(t *testing.T) {
 							}
 						}
 					}
-					span.Close()
-					sweep.Close()
-					gen.Close()
 				}
 			})
 		}

@@ -128,7 +128,6 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 		mopts = append(mopts, gca.WithStepHooks(opt.Hooks))
 	}
 	machine := gca.NewMachine(field, rule{lay: lay}, mopts...)
-	defer machine.Close()
 
 	iters := opt.Iterations
 	if iters <= 0 {

@@ -282,12 +282,6 @@ func TestLayout(t *testing.T) {
 	if l.Index(0, 0) != 0 || l.Index(1, 0) != 4 || l.Index(4, 3) != 19 {
 		t.Fatal("Index arithmetic wrong")
 	}
-	if l.Row(19) != 4 || l.Col(19) != 3 {
-		t.Fatal("Row/Col arithmetic wrong")
-	}
-	if !l.IsBottomRow(16) || l.IsBottomRow(15) {
-		t.Fatal("IsBottomRow wrong")
-	}
 	if l.ColumnZero(2) != 8 || l.BottomRow(1) != 17 {
 		t.Fatal("ColumnZero/BottomRow wrong")
 	}

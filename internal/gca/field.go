@@ -48,9 +48,6 @@ func (f *Field) Cell(idx int) Cell { return Cell{D: f.cur[idx], A: f.a[idx]} }
 // Data returns the current data field of cell idx.
 func (f *Field) Data(idx int) Value { return f.cur[idx] }
 
-// Aux returns the static auxiliary field of cell idx.
-func (f *Field) Aux(idx int) Value { return f.a[idx] }
-
 // SetCell overwrites the current state of cell idx. It is intended for
 // initialisation (generation 0 inputs such as the adjacency field a);
 // calling it between machine steps breaks the synchronous semantics only

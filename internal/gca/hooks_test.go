@@ -25,7 +25,6 @@ func TestBeforeStepAbortLeavesMachineConsistent(t *testing.T) {
 			return nil
 		},
 	}))
-	defer m.Close()
 
 	if _, err := m.Step(Context{}); !errors.Is(err, boom) {
 		t.Fatalf("Step error = %v, want %v", err, boom)
@@ -64,7 +63,6 @@ func TestBeforeStepSeesTick(t *testing.T) {
 			return nil
 		},
 	}))
-	defer m.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := m.Step(Context{Generation: i}); err != nil {
 			t.Fatal(err)
@@ -95,7 +93,6 @@ func TestWorkerStallNeverChangesResults(t *testing.T) {
 			opts = append(opts, WithStepHooks(StepHooks{WorkerStall: stall}))
 		}
 		m := NewMachine(f, jumpRule, opts...)
-		defer m.Close()
 		for s := 0; s < 5; s++ {
 			if _, err := m.Step(Context{}); err != nil {
 				t.Fatal(err)
@@ -137,7 +134,6 @@ func TestWorkerStallNeverChangesResults(t *testing.T) {
 func TestZeroHooksAreNoop(t *testing.T) {
 	f := newFieldWithData([]Value{1, 2, 3})
 	m := NewMachine(f, incrementRule, WithWorkers(1), WithStepHooks(StepHooks{}))
-	defer m.Close()
 	if _, err := m.Step(Context{}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +154,6 @@ func TestBeforeStepErrorTextNamesGeneration(t *testing.T) {
 			return fmt.Errorf("gen %d", ctx.Generation)
 		},
 	}))
-	defer m.Close()
 	_, err := m.Step(Context{Generation: 7})
 	if err == nil || err.Error() != "gen 7" {
 		t.Fatalf("err = %v, want gen 7 verbatim", err)

@@ -1,7 +1,6 @@
 package gca
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -39,9 +38,6 @@ func (fn ObserverFunc) OnStep(f *Field, s *StepStats) { fn(f, s) }
 //     dispatch, no barrier, no full-field traffic. Chosen when the plan
 //     covers at most 1/8 of the field, which turns the paper's
 //     column-0-only generations from O(n²) steps into O(n) steps.
-//
-// Machines no longer own goroutines; Close only marks the machine
-// unusable (Step after Close errors) and remains idempotent.
 type Machine struct {
 	field   *Field
 	rule    Rule
@@ -65,8 +61,7 @@ type Machine struct {
 	lo, hi []int
 	active int
 
-	closed bool
-	group  par.Group
+	group par.Group
 
 	// Per-step job state, published by Step before shards are dispatched
 	// to the shared pool (the pool's channel send orders the accesses).
@@ -214,28 +209,15 @@ func (m *Machine) planShards() {
 	m.active = len(m.lo)
 }
 
-// Close marks the machine unusable: Step returns an error afterwards. It
-// is idempotent. Machines own no goroutines — shard work runs on the
-// shared pool of internal/par — so Close releases nothing.
-func (m *Machine) Close() {
-	m.closed = true
-}
-
 // Field returns the machine's field.
 func (m *Machine) Field() *Field { return m.field }
 
 // Tick returns the number of committed steps since construction.
 func (m *Machine) Tick() int64 { return m.tick }
 
-// errClosed is returned by Step after Close.
-var errClosed = errors.New("gca: Step called on a closed Machine")
-
 // Step executes one synchronous generation under ctx and commits it.
 // The returned stats are valid until the next call to Step.
 func (m *Machine) Step(ctx Context) (*StepStats, error) {
-	if m.closed {
-		return nil, errClosed
-	}
 	ctx.Tick = m.tick
 	if m.hooks.BeforeStep != nil {
 		if err := m.hooks.BeforeStep(ctx); err != nil {

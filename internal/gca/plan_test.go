@@ -141,7 +141,6 @@ func TestSpanStepErrorLeavesFieldIntact(t *testing.T) {
 	}
 	before := f.Snapshot(nil)
 	m := NewMachine(f, errSpanRule{}, WithWorkers(1))
-	defer m.Close()
 	if _, err := m.Step(Context{}); err == nil {
 		t.Fatal("kernel error not propagated from span mode")
 	}

@@ -41,7 +41,6 @@ func TestPoolBitIdenticalAcrossWorkerCounts(t *testing.T) {
 			f.SetData(i, Value(i*i%977))
 		}
 		m := NewMachine(f, poolRule(n), WithWorkers(workers))
-		defer m.Close()
 		stats := make([]stepStat, 0, steps)
 		for s := 0; s < steps; s++ {
 			st, err := m.Step(Context{Generation: s})
@@ -75,37 +74,9 @@ func TestPoolBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestPoolCloseLifecycle pins the Close contract: idempotent, safe on
-// machines that never stepped, and Step fails cleanly afterwards.
-func TestPoolCloseLifecycle(t *testing.T) {
-	// A machine that engaged the parallel pool.
-	f := NewField(4 * minChunk)
-	m := NewMachine(f, poolRule(f.Len()), WithWorkers(4))
-	if _, err := m.Step(Context{}); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	m.Close() // idempotent
-	if _, err := m.Step(Context{}); err == nil {
-		t.Fatal("Step after Close did not fail")
-	}
-
-	// A machine below the sharding threshold never owns goroutines but
-	// must honour the same lifecycle.
-	small := NewMachine(NewField(8), incrementRule, WithWorkers(4))
-	small.Close()
-	if _, err := small.Step(Context{}); err == nil {
-		t.Fatal("Step after Close on small machine did not fail")
-	}
-
-	// A machine that is built and closed without ever stepping.
-	idle := NewMachine(NewField(4*minChunk), incrementRule, WithWorkers(4))
-	idle.Close()
-}
-
-// TestPoolChurn creates, steps and closes many pooled machines in
-// sequence; under -race this shakes out any handshake between Step's
-// barrier and Close, and under normal runs it bounds goroutine growth:
+// TestPoolChurn creates and steps many pooled machines in sequence;
+// under -race this shakes out any handshake left behind by Step's
+// barrier, and under normal runs it bounds goroutine growth:
 // machines own no goroutines, so after the shared pool is warm the count
 // must stay flat no matter how many machines come and go.
 func TestPoolChurn(t *testing.T) {
@@ -119,7 +90,6 @@ func TestPoolChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		m.Close()
 	}
 	// Give any in-flight pool hand-offs a moment to settle, then require
 	// no pile-up.
@@ -139,7 +109,6 @@ func TestPoolCongestionAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) (map[int]int, int) {
 		f := NewField(n)
 		m := NewMachine(f, poolRule(n), WithWorkers(workers), WithCongestion())
-		defer m.Close()
 		var last *StepStats
 		for s := 0; s < 4; s++ {
 			st, err := m.Step(Context{Generation: s})

@@ -57,42 +57,6 @@ type Rule2 interface {
 	Update2(ctx Context, idx int, self, global1, global2 Cell) Value
 }
 
-// RuleFuncs2 adapts functions to the Rule2 interface, for tests and small
-// two-handed programs. Nil P1/P2 mean NoRead; a nil U2 keeps d.
-type RuleFuncs2 struct {
-	P1 func(ctx Context, idx int, self Cell) int
-	P2 func(ctx Context, idx int, self Cell) int
-	U2 func(ctx Context, idx int, self, global1, global2 Cell) Value
-}
-
-// Pointer implements Rule.
-func (r RuleFuncs2) Pointer(ctx Context, idx int, self Cell) int {
-	if r.P1 == nil {
-		return NoRead
-	}
-	return r.P1(ctx, idx, self)
-}
-
-// Pointer2 implements Rule2.
-func (r RuleFuncs2) Pointer2(ctx Context, idx int, self Cell) int {
-	if r.P2 == nil {
-		return NoRead
-	}
-	return r.P2(ctx, idx, self)
-}
-
-// Update implements Rule; two-handed rules are dispatched through
-// Update2, so this is never called by the machine.
-func (r RuleFuncs2) Update(_ Context, _ int, self, _ Cell) Value { return self.D }
-
-// Update2 implements Rule2.
-func (r RuleFuncs2) Update2(ctx Context, idx int, self, global1, global2 Cell) Value {
-	if r.U2 == nil {
-		return self.D
-	}
-	return r.U2(ctx, idx, self, global1, global2)
-}
-
 // RuleFuncs adapts a pair of functions to the Rule interface, for tests
 // and small programs.
 type RuleFuncs struct {

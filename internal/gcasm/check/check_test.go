@@ -250,3 +250,46 @@ func TestAbstractMatchesRuntime(t *testing.T) {
 		}
 	}
 }
+
+// ReadBounds statically bounds per-generation read congestion for a
+// field of cells cells at problem size n, one Bound per declared
+// generation in order. A cell contributes one read per sub-generation
+// unless its pointer is statically 'none' (or the generation has no
+// pointer operation at all). Generations with conflicting duplicate
+// clauses are bounded by their first pointer clause.
+func ReadBounds(p *gcasm.ProgramAST, n, cells int) []Bound {
+	bounds := make([]Bound, 0, len(p.Gens))
+	for _, g := range p.Gens {
+		b := Bound{Gen: g.Name, Exact: true}
+		if len(g.Pointers) > 0 {
+			times := g.Times.Resolve(n)
+			for sub := 0; sub < times; sub++ {
+				for idx := 0; idx < cells; idx++ {
+					v := evalAbs(g.Pointers[0].Expr, newAbsEnv(idx, n, sub))
+					if !v.known {
+						b.Exact = false
+					}
+					if !v.isNone() {
+						b.Reads++
+					}
+				}
+			}
+		}
+		bounds = append(bounds, b)
+	}
+	return bounds
+}
+
+// Bound is the static read-congestion bound of one generation: the total
+// number of global reads across its sub-generations within one
+// iteration, summed over the field — the quantity
+// congestion.ReadsOracle tabulates from Table 1.
+type Bound struct {
+	Gen   string `json:"gen"`
+	Reads int    `json:"reads"`
+	// Exact reports whether every cell's pointer resolved statically:
+	// true means Reads is the count for every input graph, false means
+	// Reads is a worst-case upper bound (some cell's read depends on
+	// data, and is counted as happening).
+	Exact bool `json:"exact"`
+}

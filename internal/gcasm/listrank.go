@@ -1,11 +1,5 @@
 package gcasm
 
-import (
-	"fmt"
-
-	"gcacc/internal/gca"
-)
-
 // ListRankSource is Wyllie's list-ranking algorithm — the canonical
 // pointer-jumping PRAM algorithm — as a one-generation rule-language
 // program. Each cell packs (next, rank) in two 21-bit lanes; ⌈log₂ n⌉
@@ -25,45 +19,3 @@ repeat 1 {
     rank
 }
 `
-
-// ListRankProgram parses the embedded source.
-func ListRankProgram() *Program {
-	p, err := Parse(ListRankSource)
-	if err != nil {
-		panic(fmt.Sprintf("gcasm: embedded list-ranking program does not parse: %v", err))
-	}
-	return p
-}
-
-// RankList computes, for every element of a linked-list forest, its
-// distance to the end of its list. next[i] is the successor of i; tails
-// have next[i] == i. Lists must be acyclic apart from the tail self-loop.
-func RankList(next []int, workers int) ([]int, error) {
-	n := len(next)
-	if n == 0 {
-		return []int{}, nil
-	}
-	const lane = 1 << 21
-	if n >= lane {
-		return nil, fmt.Errorf("gcasm: list of %d elements exceeds the 21-bit lane", n)
-	}
-	field := gca.NewField(n)
-	for i, nx := range next {
-		if nx < 0 || nx >= n {
-			return nil, fmt.Errorf("gcasm: next[%d] = %d out of range", i, nx)
-		}
-		rank := 1
-		if nx == i {
-			rank = 0
-		}
-		field.SetData(i, gca.Value(nx+rank*lane))
-	}
-	if _, err := ListRankProgram().Run(RunConfig{N: n, Field: field, Workers: workers}); err != nil {
-		return nil, err
-	}
-	ranks := make([]int, n)
-	for i := 0; i < n; i++ {
-		ranks[i] = int(field.Data(i) / lane)
-	}
-	return ranks, nil
-}

@@ -1,6 +1,7 @@
 package gcasm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -129,4 +130,46 @@ func TestListRankGenerationCount(t *testing.T) {
 	if res.Generations != 6 { // ⌈log₂ 33⌉
 		t.Fatalf("generations = %d, want 6", res.Generations)
 	}
+}
+
+// RankList computes, for every element of a linked-list forest, its
+// distance to the end of its list. next[i] is the successor of i; tails
+// have next[i] == i. Lists must be acyclic apart from the tail self-loop.
+func RankList(next []int, workers int) ([]int, error) {
+	n := len(next)
+	if n == 0 {
+		return []int{}, nil
+	}
+	const lane = 1 << 21
+	if n >= lane {
+		return nil, fmt.Errorf("gcasm: list of %d elements exceeds the 21-bit lane", n)
+	}
+	field := gca.NewField(n)
+	for i, nx := range next {
+		if nx < 0 || nx >= n {
+			return nil, fmt.Errorf("gcasm: next[%d] = %d out of range", i, nx)
+		}
+		rank := 1
+		if nx == i {
+			rank = 0
+		}
+		field.SetData(i, gca.Value(nx+rank*lane))
+	}
+	if _, err := ListRankProgram().Run(RunConfig{N: n, Field: field, Workers: workers}); err != nil {
+		return nil, err
+	}
+	ranks := make([]int, n)
+	for i := 0; i < n; i++ {
+		ranks[i] = int(field.Data(i) / lane)
+	}
+	return ranks, nil
+}
+
+// ListRankProgram parses the embedded source.
+func ListRankProgram() *Program {
+	p, err := Parse(ListRankSource)
+	if err != nil {
+		panic(fmt.Sprintf("gcasm: embedded list-ranking program does not parse: %v", err))
+	}
+	return p
 }

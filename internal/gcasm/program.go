@@ -180,7 +180,6 @@ func (p *Program) Run(cfg RunConfig) (*RunResult, error) {
 		mopts = append(mopts, gca.WithObserver(cfg.Observer))
 	}
 	machine := gca.NewMachine(cfg.Field, r, mopts...)
-	defer machine.Close()
 
 	res := &RunResult{}
 	for _, item := range p.schedule {

@@ -102,23 +102,6 @@ func (m *BitMatrix) Equal(o *BitMatrix) bool {
 	return true
 }
 
-// Transpose returns a new matrix that is the transpose of m.
-func (m *BitMatrix) Transpose() BitMatrix {
-	t := NewBitMatrix(m.cols, m.rows)
-	for r := 0; r < m.rows; r++ {
-		base := r * m.stride
-		for wi := 0; wi < m.stride; wi++ {
-			w := m.words[base+wi]
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				t.Set(wi*64+b, r, true)
-				w &= w - 1
-			}
-		}
-	}
-	return t
-}
-
 // OrRowInto ORs row src into row dst word-parallel — the inner operation
 // of the word-parallel Warshall transitive closure.
 func (m *BitMatrix) OrRowInto(dst, src int) {
@@ -129,24 +112,6 @@ func (m *BitMatrix) OrRowInto(dst, src int) {
 	for i := range d {
 		d[i] |= s[i]
 	}
-}
-
-// IsSymmetric reports whether m is square and equal to its transpose —
-// the well-formedness condition for an undirected adjacency matrix.
-func (m *BitMatrix) IsSymmetric() bool {
-	if m.rows != m.cols {
-		return false
-	}
-	var idx []int
-	for r := 0; r < m.rows; r++ {
-		idx = m.RowIndices(r, idx[:0])
-		for _, c := range idx {
-			if !m.Get(c, r) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (m *BitMatrix) checkIndex(r, c int) {

@@ -58,17 +58,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj.Set(v, u, true)
 }
 
-// RemoveEdge deletes the undirected edge {u, v} if present.
-func (g *Graph) RemoveEdge(u, v int) {
-	g.check(u)
-	g.check(v)
-	if u == v {
-		return
-	}
-	g.adj.Set(u, v, false)
-	g.adj.Set(v, u, false)
-}
-
 // HasEdge reports whether the undirected edge {u, v} is present.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)

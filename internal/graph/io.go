@@ -280,22 +280,6 @@ func ReadMatrix(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// WriteWeightedEdgeList writes a weighted graph as a "n m" header
-// followed by "u v w" lines.
-func WriteWeightedEdgeList(w io.Writer, g *Weighted) error {
-	bw := bufio.NewWriter(w)
-	edges := g.Edges()
-	if _, err := fmt.Fprintf(bw, "%d %d\n", g.N(), len(edges)); err != nil {
-		return err
-	}
-	for _, e := range edges {
-		if _, err := fmt.Fprintf(bw, "%d %d %d\n", e.U, e.V, e.W); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadWeightedEdgeList parses the weighted "u v w" edge-list format.
 func ReadWeightedEdgeList(r io.Reader) (*Weighted, error) {
 	var el EdgeLines

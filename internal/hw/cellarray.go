@@ -158,10 +158,6 @@ func NewCellArray(g *graph.Graph) *CellArray {
 // N returns the graph size.
 func (ca *CellArray) N() int { return ca.n }
 
-// Slots returns the number of static wiring planes (the width of every
-// standard cell's generation multiplexer).
-func (ca *CellArray) Slots() int { return len(ca.wires) }
-
 // staticInput resolves a standard cell's global input in a static slot.
 func (ca *CellArray) staticInput(gen, sub, idx int) gca.Value {
 	slot, ok := ca.slots[slotKey{gen, sub}]

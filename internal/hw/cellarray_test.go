@@ -72,8 +72,8 @@ func TestCellArraySlotCount(t *testing.T) {
 	n := 16
 	ca := NewCellArray(graph.Path(n))
 	want := 7 + 2*core.SubGenerations(n)
-	if ca.Slots() != want {
-		t.Fatalf("Slots = %d, want %d", ca.Slots(), want)
+	if got := len(ca.wires); got != want {
+		t.Fatalf("%d wiring slots, want %d", got, want)
 	}
 }
 

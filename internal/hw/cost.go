@@ -152,28 +152,6 @@ func RuntimeMicros(n int) float64 {
 	return cycles / s.FMaxMHz // cycles / (cycles/µs)
 }
 
-// MemoryEquivalentLEs returns the logic-element cost of just storing the
-// design's register bits (≈1 LE register per bit on the Cyclone II
-// fabric), the quantity the paper's Section 3 compares cell cost against:
-// in a GCA "processing elements, i.e. GCA cells, become cheap, while
-// memory gets more expensive".
-func MemoryEquivalentLEs(n int) int {
-	return Estimate(n).RegisterBits
-}
-
-// CellToMemoryRatio returns LEs-per-cell divided by LEs-per-stored-bit —
-// the paper's argument is that this ratio is a constant independent of n
-// (cell hardware ≈ a constant number of memory elements).
-func CellToMemoryRatio(n int) float64 {
-	s := Estimate(n)
-	if s.Cells == 0 {
-		return 0
-	}
-	lePerCell := float64(s.LogicElements) / float64(s.Cells)
-	bitsPerCell := float64(s.RegisterBits) / float64(s.Cells)
-	return lePerCell / bitsPerCell
-}
-
 // String formats a synthesis row like the paper's result line.
 func (s Synthesis) String() string {
 	return fmt.Sprintf("N×(N+1) = %d cells; logic elements = %d; register bits = %d; clock frequency = %.0f MHz",

@@ -70,10 +70,14 @@ func TestRegisterBitsDominatedByField(t *testing.T) {
 func TestCellToMemoryRatioBounded(t *testing.T) {
 	// LEs per cell vs bits per cell must stay within a constant band — the
 	// paper's "cell cost approaches the cost of a small number of memory
-	// cells".
-	base := CellToMemoryRatio(16)
+	// cells". LEs per cell over bits per cell is LEs over bits.
+	ratio := func(n int) float64 {
+		s := Estimate(n)
+		return float64(s.LogicElements) / float64(s.RegisterBits)
+	}
+	base := ratio(16)
 	for _, n := range []int{8, 32, 128, 512} {
-		r := CellToMemoryRatio(n)
+		r := ratio(n)
 		if r < base/4 || r > base*4 {
 			t.Errorf("n=%d: ratio %.2f escaped the constant band around %.2f", n, r, base)
 		}
@@ -107,12 +111,6 @@ func TestSynthesisString(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("String() = %q, missing %q", got, want)
 		}
-	}
-}
-
-func TestMemoryEquivalentLEs(t *testing.T) {
-	if MemoryEquivalentLEs(16) != 2192 {
-		t.Errorf("MemoryEquivalentLEs(16) = %d, want 2192", MemoryEquivalentLEs(16))
 	}
 }
 

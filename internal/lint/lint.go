@@ -8,8 +8,8 @@
 // respected the model; the analyzers here reject whole classes of
 // violations at compile time: reading the wrong double-buffer half,
 // nondeterminism inside the simulator packages, step loops that cannot be
-// cancelled, unlocked access to mutex-guarded serving-layer state, and
-// silently discarded errors.
+// cancelled, unlocked access to mutex-guarded serving-layer state,
+// silently discarded errors, and code nothing runs.
 //
 // A diagnostic can be suppressed with an ignore directive on the line
 // immediately above (or trailing on the same line as) the flagged code:
@@ -61,6 +61,9 @@ type Pass struct {
 	// Pkg is the typechecked package under analysis.
 	Pkg *Package
 
+	// refs indexes the references of the whole module; nil when a
+	// package is analysed on its own (see Check).
+	refs     *refIndex
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 }
@@ -86,6 +89,7 @@ func Analyzers() []*Analyzer {
 		AtomicDiscipline,
 		PoolClose,
 		LockOrder,
+		Unused,
 	}
 }
 
@@ -122,13 +126,42 @@ func Select(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// RunAnalyzers runs the given analyzers over one package and returns the
+// Check loads every package of the loader's module, indexing the
+// module-wide references as it goes, then runs the analyzers over each
+// package. It returns the diagnostics in package order and the number of
+// packages checked.
+func Check(l *Loader, analyzers []*Analyzer) ([]Diagnostic, int, error) {
+	paths, err := l.ModulePackages()
+	if err != nil {
+		return nil, 0, err
+	}
+	refs := newRefIndex(l.Root)
+	pkgs := make([]*Package, 0, len(paths))
+	for _, path := range paths {
+		pkg, err := l.Load(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := refs.add(pkg); err != nil {
+			return nil, 0, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		diags = append(diags, runAnalyzers(pkg, refs, analyzers)...)
+	}
+	return diags, len(pkgs), nil
+}
+
+// runAnalyzers runs the given analyzers over one package and returns the
 // surviving diagnostics sorted by position, with //lint:ignore directives
-// applied.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+// applied. With refs nil, analyzers that need the whole module, like
+// unused, report nothing.
+func runAnalyzers(pkg *Package, refs *refIndex, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		a.Run(&Pass{Pkg: pkg, analyzer: a, diags: &diags})
+		a.Run(&Pass{Pkg: pkg, refs: refs, analyzer: a, diags: &diags})
 	}
 	diags = applyIgnores(pkg, diags)
 	sort.Slice(diags, func(i, j int) bool {

@@ -20,6 +20,13 @@ func newTestLoader(t *testing.T) *Loader {
 	return l
 }
 
+// LoadDir typechecks the package in dir under an arbitrary import path,
+// for the fixture packages under testdata, which the go tool does not
+// treat as part of the module.
+func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
+	return l.load(dir, asPath)
+}
+
 var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
 
 // wantKey identifies one fixture line that expects diagnostics.
@@ -41,8 +48,13 @@ func checkFixture(t *testing.T, l *Loader, dir string) {
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
-
 	wants := map[wantKey][]string{}
+	addWants(wants, pkg)
+	matchWants(t, runAnalyzers(pkg, nil, Analyzers()), wants)
+}
+
+// addWants collects the `// want "substr"` comments of pkg.
+func addWants(wants map[wantKey][]string, pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -56,8 +68,12 @@ func checkFixture(t *testing.T, l *Loader, dir string) {
 			}
 		}
 	}
+}
 
-	diags := RunAnalyzers(pkg, Analyzers())
+// matchWants pairs each diagnostic with a want comment on its line and
+// reports the diagnostics and wants left over.
+func matchWants(t *testing.T, diags []Diagnostic, wants map[wantKey][]string) {
+	t.Helper()
 	for _, d := range diags {
 		k := wantKey{d.Pos.Filename, d.Pos.Line}
 		matched := false
@@ -76,6 +92,48 @@ func checkFixture(t *testing.T, l *Loader, dir string) {
 		for _, substr := range rest {
 			t.Errorf("%s:%d: expected a diagnostic containing %q, got none", k.file, k.line, substr)
 		}
+	}
+}
+
+// checkModuleFixture runs Check with the full suite over the fixture
+// module rooted at dir, which the unused analyzer needs whole, and
+// matches the diagnostics against its want comments.
+func checkModuleFixture(t *testing.T, dir string) {
+	t.Helper()
+	l, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, _, err := Check(l, Analyzers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := l.ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := map[wantKey][]string{}
+	for _, path := range paths {
+		pkg, err := l.Load(path) // cached by Check
+		if err != nil {
+			t.Fatal(err)
+		}
+		addWants(wants, pkg)
+	}
+	matchWants(t, diags, wants)
+}
+
+// TestUnusedFixtures checks the unused analyzer on two fixture modules.
+// bad has one unconsumed func, type, const, var and method, a func that
+// only refers to itself and one only its own package's tests use. clean
+// has an interface-satisfying method, a generic method used through an
+// instantiation, declarations used only by another package's tests, and
+// one used only by a nested module, like bench/; it must produce nothing.
+func TestUnusedFixtures(t *testing.T) {
+	for _, dir := range []string{"testdata/unused/bad", "testdata/unused/clean"} {
+		t.Run(strings.TrimPrefix(dir, "testdata/"), func(t *testing.T) {
+			checkModuleFixture(t, dir)
+		})
 	}
 }
 
@@ -129,7 +187,7 @@ func TestCleanFixturesProduceNothing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load %s: %v", dir, err)
 		}
-		if diags := RunAnalyzers(pkg, Analyzers()); len(diags) != 0 {
+		if diags := runAnalyzers(pkg, nil, Analyzers()); len(diags) != 0 {
 			for _, d := range diags {
 				t.Errorf("%s: unexpected diagnostic: %s", dir, d)
 			}
@@ -147,7 +205,7 @@ func TestIgnoreSuppressesExactlyOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers(pkg, []*Analyzer{ErrcheckLite})
+	diags := runAnalyzers(pkg, nil, []*Analyzer{ErrcheckLite})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want exactly 1: %v", len(diags), diags)
 	}
@@ -177,7 +235,7 @@ func TestMalformedIgnoreIsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers(pkg, []*Analyzer{ErrcheckLite})
+	diags := runAnalyzers(pkg, nil, []*Analyzer{ErrcheckLite})
 	byCat := map[string]int{}
 	for _, d := range diags {
 		byCat[d.Analyzer+"/"+d.Category]++
@@ -210,7 +268,7 @@ func TestSuppressionCountPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole module; skipped in -short mode")
 	}
-	const pinnedSuppressions = 1 // internal/pram/primitives.go: ctxflow on a bounded primitive
+	const pinnedSuppressions = 0
 	l := newTestLoader(t)
 	paths, err := l.ModulePackages()
 	if err != nil {
@@ -260,7 +318,7 @@ func TestDiagnosticJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers(pkg, []*Analyzer{ErrcheckLite})
+	diags := runAnalyzers(pkg, nil, []*Analyzer{ErrcheckLite})
 	if len(diags) == 0 {
 		t.Fatal("fixture produced no diagnostics")
 	}
@@ -289,23 +347,15 @@ func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole module; skipped in -short mode")
 	}
-	l := newTestLoader(t)
-	paths, err := l.ModulePackages()
+	diags, npkgs, err := Check(newTestLoader(t), Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) < 10 {
-		t.Fatalf("suspiciously few packages found: %v", paths)
+	if npkgs < 10 {
+		t.Fatalf("suspiciously few packages checked: %d", npkgs)
 	}
-	for _, path := range paths {
-		pkg, err := l.Load(path)
-		if err != nil {
-			t.Errorf("load %s: %v", path, err)
-			continue
-		}
-		for _, d := range RunAnalyzers(pkg, Analyzers()) {
-			t.Errorf("%s: %s", path, d)
-		}
+	for _, d := range diags {
+		t.Error(d)
 	}
 }
 

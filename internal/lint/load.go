@@ -83,9 +83,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import implements types.Importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, l.Root, 0)
@@ -129,13 +126,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: %q is not a package of module %s", path, l.Module)
 	}
 	return l.load(filepath.Join(l.Root, rel), path)
-}
-
-// LoadDir typechecks the package in dir under an arbitrary import path.
-// The lint tests use it to check fixture packages under testdata, which
-// the go tool (deliberately) does not treat as part of the module.
-func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	return l.load(dir, asPath)
 }
 
 func (l *Loader) load(dir, path string) (*Package, error) {

@@ -8,12 +8,11 @@ import (
 
 // PoolClose makes the Close-path audit permanent: every value obtained
 // from a constructor whose result type has a Close/close method — any
-// named type from an engine or serving package, such as service.Service
-// (which owns its job workers) or gca.Machine (whose Close ends its
-// lifecycle) — must be paired with a Close on every path of the creating
-// function. Engine shards run on the process-global pool of internal/par,
-// which lives as long as the process and has no Close, so nothing that
-// steps on it is tracked for that reason.
+// named type from an engine or serving package, such as service.Service,
+// which owns its job workers — must be paired with a Close on every path
+// of the creating function. Engine shards run on the process-global pool
+// of internal/par, which lives as long as the process and has no Close,
+// so nothing that steps on it is tracked for that reason.
 //
 // A creation is accounted for when the binding either
 //
@@ -31,7 +30,7 @@ import (
 var PoolClose = &Analyzer{
 	Name: "poolclose",
 	Doc: "values from constructors returning a Close-owning engine/serving type " +
-		"(gca.Machine, service.Service, …) must be paired with defer Close/explicit Close " +
+		"(service.Service, …) must be paired with defer Close/explicit Close " +
 		"on every path, unless ownership escapes (returned, stored, passed on); the shared " +
 		"fan-out pool (internal/par) is process-global and has no Close",
 	Run: runPoolClose,

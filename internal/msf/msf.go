@@ -239,7 +239,6 @@ func Run(g *graph.Weighted, opt Options) (*Result, error) {
 		}
 	}
 	machine := gca.NewMachine(field, rule{lay: lay}, gca.WithWorkers(opt.Workers))
-	defer machine.Close()
 
 	res := &Result{MSF: &graph.MSF{}}
 	step := func(gen, sub, iter int) error {

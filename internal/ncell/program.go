@@ -69,30 +69,6 @@ const (
 	PhFinalMin = 7 // c ← min(C(t), t)
 )
 
-// PhaseName returns a label for a phase id.
-func PhaseName(p int) string {
-	switch p {
-	case PhInit:
-		return "init"
-	case PhScanC:
-		return "scan-C"
-	case PhSetT:
-		return "set-T"
-	case PhScanT:
-		return "scan-T"
-	case PhSetT2:
-		return "set-T-2"
-	case PhHook:
-		return "hook"
-	case PhShortcut:
-		return "shortcut"
-	case PhFinalMin:
-		return "final-min"
-	default:
-		return "unknown"
-	}
-}
-
 // Log2Ceil mirrors the paper's log n.
 func Log2Ceil(n int) int {
 	k, p := 0, 1
@@ -101,26 +77,6 @@ func Log2Ceil(n int) int {
 		k++
 	}
 	return k
-}
-
-// GenerationsPerIteration returns the synchronous steps one iteration
-// costs in the n-cell design: two (n−1)-step scans, the log n shortcut,
-// and four single-step phases.
-func GenerationsPerIteration(n int) int {
-	scan := n - 1
-	if scan < 0 {
-		scan = 0
-	}
-	return 2*scan + Log2Ceil(n) + 4
-}
-
-// TotalGenerations returns the full cost: 1 initialisation generation
-// plus ⌈log₂ n⌉ iterations.
-func TotalGenerations(n int) int {
-	if n < 1 {
-		return 0
-	}
-	return 1 + Log2Ceil(n)*GenerationsPerIteration(n)
 }
 
 // rule is the uniform n-cell rule with the adjacency matrix compiled in
@@ -278,7 +234,6 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 		mopts = append(mopts, gca.WithStepHooks(opt.Hooks))
 	}
 	machine := gca.NewMachine(field, rule{n: n, adj: g.Adjacency()}, mopts...)
-	defer machine.Close()
 
 	iters := opt.Iterations
 	if iters <= 0 {

@@ -165,18 +165,24 @@ func TestNCellDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestPhaseNames(t *testing.T) {
-	seen := map[string]bool{}
-	for p := PhInit; p <= PhFinalMin; p++ {
-		name := PhaseName(p)
-		if name == "unknown" || seen[name] {
-			t.Errorf("phase %d: bad or duplicate name %q", p, name)
-		}
-		seen[name] = true
+// GenerationsPerIteration returns the synchronous steps one iteration
+// costs in the n-cell design: two (n−1)-step scans, the log n shortcut,
+// and four single-step phases.
+func GenerationsPerIteration(n int) int {
+	scan := n - 1
+	if scan < 0 {
+		scan = 0
 	}
-	if PhaseName(99) != "unknown" {
-		t.Error("unknown phase not handled")
+	return 2*scan + Log2Ceil(n) + 4
+}
+
+// TotalGenerations returns the full cost: 1 initialisation generation
+// plus ⌈log₂ n⌉ iterations.
+func TotalGenerations(n int) int {
+	if n < 1 {
+		return 0
 	}
+	return 1 + Log2Ceil(n)*GenerationsPerIteration(n)
 }
 
 func TestTotalGenerationsFormulaValues(t *testing.T) {

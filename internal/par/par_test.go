@@ -65,7 +65,6 @@ func runGCA(t *testing.T, hooks gca.StepHooks) []gca.Value {
 		f.SetData(i, gca.Value(i*i%977))
 	}
 	m := gca.NewMachine(f, gcaRule(n), gca.WithWorkers(8), gca.WithStepHooks(hooks))
-	defer m.Close()
 	for s := 0; s < steps; s++ {
 		if _, err := m.Step(gca.Context{Generation: s}); err != nil {
 			t.Error(err)

@@ -53,28 +53,3 @@ func BenchmarkHirschbergVsShiloachVishkin(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkPrefixSum(b *testing.B) {
-	n := 1 << 12
-	m := New(CREW, n)
-	for i := 0; i < n; i++ {
-		m.Store(i, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := PrefixSum(m, 0, n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReduceMin(b *testing.B) {
-	n := 1 << 12
-	m := New(CREW, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ReduceMin(m, 0, n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -179,12 +179,6 @@ func New(mode Mode, memSize int, opts ...Option) *Machine {
 	return m
 }
 
-// Mode returns the machine's access discipline.
-func (m *Machine) Mode() Mode { return m.mode }
-
-// MemSize returns the shared-memory size.
-func (m *Machine) MemSize() int { return len(m.mem) }
-
 // Costs returns the accounting so far.
 func (m *Machine) Costs() Costs { return m.costs }
 

@@ -223,11 +223,11 @@ func TestModeString(t *testing.T) {
 
 func TestModeAccessors(t *testing.T) {
 	m := New(CROW, 8)
-	if m.Mode() != CROW {
-		t.Fatalf("Mode = %v", m.Mode())
+	if m.mode != CROW {
+		t.Fatalf("mode = %v", m.mode)
 	}
-	if m.MemSize() != 8 {
-		t.Fatalf("MemSize = %d", m.MemSize())
+	if len(m.mem) != 8 {
+		t.Fatalf("memory size = %d", len(m.mem))
 	}
 	defer func() {
 		if recover() == nil {

@@ -4,7 +4,7 @@
 // a stdlib-only metrics registry, and graceful drain on shutdown.
 //
 // The design transfers the paper's resource discipline from the machine
-// model to the process: just as internal/mparch schedules n² virtual
+// model to the process: just as Brent's principle schedules n² virtual
 // cells onto p physical processors with a barrier per generation, the
 // service schedules an unbounded request stream onto a fixed goroutine
 // budget — p concurrent requests share Config.SimWorkers simulator

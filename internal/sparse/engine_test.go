@@ -220,15 +220,3 @@ func TestEngineHooks(t *testing.T) {
 	}
 	checkLabels(t, "stalled", res.Labels, want)
 }
-
-func TestParseVariant(t *testing.T) {
-	for _, v := range Variants() {
-		got, err := ParseVariant(v.String())
-		if err != nil || got != v {
-			t.Fatalf("ParseVariant(%q) = %v, %v", v.String(), got, err)
-		}
-	}
-	if _, err := ParseVariant("nope"); err == nil {
-		t.Fatal("ParseVariant accepted garbage")
-	}
-}

@@ -67,16 +67,6 @@ func (v Variant) String() string {
 	return s
 }
 
-// ParseVariant parses a short variant name.
-func ParseVariant(s string) (Variant, error) {
-	for _, v := range Variants() {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return Variant{}, fmt.Errorf("sparse: unknown Liu–Tarjan variant %q (have p, e, pa, ea)", s)
-}
-
 // Variants enumerates the implemented variant space.
 func Variants() []Variant {
 	return []Variant{

@@ -132,24 +132,6 @@ func (g *Graph) Edges() []Edge {
 	return g.edges
 }
 
-// Degree returns the number of neighbours of vertex u.
-func (g *Graph) Degree(u int) int {
-	g.check(u)
-	off, _ := g.csr()
-	return int(off[u+1] - off[u])
-}
-
-// Neighbors appends the neighbours of u (ascending) to dst and returns
-// the extended slice.
-func (g *Graph) Neighbors(u int, dst []int) []int {
-	g.check(u)
-	off, adj := g.csr()
-	for _, v := range adj[off[u]:off[u+1]] {
-		dst = append(dst, int(v))
-	}
-	return dst
-}
-
 // engineEdges is the list an engine scans: a borrowed list as stored;
 // any other graph's in canonical form, which drops the duplicates AddEdge
 // may have collected and is kept for the graph's later Fingerprint.
@@ -203,12 +185,6 @@ func (g *Graph) csr() ([]int64, []int32) {
 	}
 	g.off, g.adj = off, adj
 	return off, adj
-}
-
-// Clone returns a deep copy of the graph (without the CSR view).
-func (g *Graph) Clone() *Graph {
-	g.canonicalise()
-	return &Graph{n: g.n, edges: append([]Edge(nil), g.edges...), canon: true}
 }
 
 // Equal reports whether g and h have the same vertex count and edge set.

@@ -119,3 +119,21 @@ func TestPlantedForestComponentCount(t *testing.T) {
 		}
 	}
 }
+
+// Degree returns the number of neighbours of vertex u.
+func (g *Graph) Degree(u int) int {
+	g.check(u)
+	off, _ := g.csr()
+	return int(off[u+1] - off[u])
+}
+
+// Neighbors appends the neighbours of u (ascending) to dst and returns
+// the extended slice.
+func (g *Graph) Neighbors(u int, dst []int) []int {
+	g.check(u)
+	off, adj := g.csr()
+	for _, v := range adj[off[u]:off[u+1]] {
+		dst = append(dst, int(v))
+	}
+	return dst
+}

@@ -89,3 +89,62 @@ func FuzzMutationTrace(f *testing.F) {
 		}
 	})
 }
+
+// DecodeTrace maps an arbitrary byte string onto a valid trace — the
+// total decoder behind FuzzMutationTrace, so every fuzzer input replays
+// without a rejection path hiding bugs. The first byte picks the vertex
+// count (2..65); each following byte either flushes a query or starts an
+// edge op consuming two endpoint bytes, with self-loops bent to the next
+// vertex. A trailing query is always appended so every trace checks its
+// final state.
+func DecodeTrace(data []byte) *Trace {
+	t := &Trace{N: 2}
+	if len(data) == 0 {
+		t.Ops = []Op{{Kind: OpQuery}}
+		return t
+	}
+	t.N = 2 + int(data[0])%64
+	var batch []sparse.Edge
+	kind := OpAppend
+	flush := func() {
+		if len(batch) > 0 {
+			t.Ops = append(t.Ops, Op{Kind: kind, Edges: batch})
+			batch = nil
+		}
+	}
+	for i := 1; i < len(data); {
+		c := data[i]
+		i++
+		var want OpKind
+		switch c % 4 {
+		case 0, 1:
+			want = OpAppend // appends twice as likely: streams are append-heavy
+		case 2:
+			want = OpDelete
+		default:
+			flush()
+			t.Ops = append(t.Ops, Op{Kind: OpQuery})
+			continue
+		}
+		if i+1 >= len(data) {
+			break
+		}
+		u := int(data[i]) % t.N
+		v := int(data[i+1]) % t.N
+		i += 2
+		if u == v {
+			v = (u + 1) % t.N
+		}
+		if u > v {
+			u, v = v, u
+		}
+		if want != kind {
+			flush()
+			kind = want
+		}
+		batch = append(batch, sparse.Edge{U: int32(u), V: int32(v)})
+	}
+	flush()
+	t.Ops = append(t.Ops, Op{Kind: OpQuery})
+	return t
+}

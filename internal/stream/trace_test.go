@@ -3,6 +3,8 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -179,4 +181,37 @@ func TestParseBatch(t *testing.T) {
 	if _, err := ParseBatch(strings.NewReader("0 1\n1 2\n"), 2); err != nil {
 		t.Fatalf("at-limit batch rejected: %v", err)
 	}
+}
+
+// Mutations counts the non-query operations.
+func (t *Trace) Mutations() int {
+	n := 0
+	for _, op := range t.Ops {
+		if op.Kind != OpQuery {
+			n++
+		}
+	}
+	return n
+}
+
+// Queries counts the query operations.
+func (t *Trace) Queries() int { return len(t.Ops) - t.Mutations() }
+
+// WriteTrace renders t in the text trace format.
+func WriteTrace(w io.Writer, t *Trace) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "stream %d\n", t.N)
+	for _, op := range t.Ops {
+		if op.Kind == OpQuery {
+			b.WriteString("?\n")
+			continue
+		}
+		b.WriteString(op.Kind.String())
+		for _, e := range op.Edges {
+			fmt.Fprintf(&b, " %d %d", e.U, e.V)
+		}
+		b.WriteByte('\n')
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }

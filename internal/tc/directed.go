@@ -14,27 +14,6 @@ import (
 // so this file exposes the general form: closures of arbitrary (possibly
 // asymmetric) adjacency bit-matrices.
 
-// WarshallMatrix computes the reflexive-transitive closure of an
-// arbitrary square boolean matrix.
-func WarshallMatrix(adj *graph.BitMatrix) (*Closure, error) {
-	n := adj.Rows()
-	if adj.Cols() != n {
-		return nil, fmt.Errorf("tc: adjacency matrix is %d×%d, want square", adj.Rows(), adj.Cols())
-	}
-	b := adj.Clone()
-	for i := 0; i < n; i++ {
-		b.Set(i, i, true)
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if b.Get(i, k) {
-				b.OrRowInto(i, k)
-			}
-		}
-	}
-	return &Closure{N: n, Bits: b}, nil
-}
-
 // GCAMatrix computes the closure of an arbitrary square boolean matrix on
 // the two-handed GCA (directed reachability: entry (i,j) means i → j).
 func GCAMatrix(adj *graph.BitMatrix, opt GCAOptions) (*GCAResult, error) {
@@ -64,7 +43,6 @@ func runClosureMachine(field *gca.Field, n int, opt GCAOptions) (*GCAResult, err
 		mopts = append(mopts, gca.WithCongestion())
 	}
 	machine := gca.NewMachine(field, tcRule{n: n}, mopts...)
-	defer machine.Close()
 
 	res := &GCAResult{Squarings: log2Ceil(n)}
 	step := func(ctx gca.Context) error {

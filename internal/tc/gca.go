@@ -115,11 +115,3 @@ func GCA(g *graph.Graph, opt GCAOptions) (*GCAResult, error) {
 	}
 	return GCAMatrix(g.Adjacency(), opt)
 }
-
-// TotalGenerations returns the GCA closure's step count: 1 + log n·(n+1).
-func TotalGenerations(n int) int {
-	if n < 1 {
-		return 0
-	}
-	return 1 + log2Ceil(n)*(n+1)
-}

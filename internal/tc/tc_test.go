@@ -1,6 +1,7 @@
 package tc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -265,4 +266,33 @@ func TestMatrixClosureEmpty(t *testing.T) {
 	if err != nil || res.Closure.N != 0 {
 		t.Fatalf("empty matrix closure: %v", err)
 	}
+}
+
+// TotalGenerations returns the GCA closure's step count: 1 + log n·(n+1).
+func TotalGenerations(n int) int {
+	if n < 1 {
+		return 0
+	}
+	return 1 + log2Ceil(n)*(n+1)
+}
+
+// WarshallMatrix computes the reflexive-transitive closure of an
+// arbitrary square boolean matrix.
+func WarshallMatrix(adj *graph.BitMatrix) (*Closure, error) {
+	n := adj.Rows()
+	if adj.Cols() != n {
+		return nil, fmt.Errorf("tc: adjacency matrix is %d×%d, want square", adj.Rows(), adj.Cols())
+	}
+	b := adj.Clone()
+	for i := 0; i < n; i++ {
+		b.Set(i, i, true)
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			if b.Get(i, k) {
+				b.OrRowInto(i, k)
+			}
+		}
+	}
+	return &Closure{N: n, Bits: b}, nil
 }

@@ -68,31 +68,12 @@ func (r *Recorder) OnStep(f *gca.Field, s *gca.StepStats) {
 // Steps returns the retained steps in execution order.
 func (r *Recorder) Steps() []Step { return r.steps }
 
-// Dropped returns how many steps exceeded the cap and were discarded.
-func (r *Recorder) Dropped() int { return r.dropped }
-
-// Reset discards all retained steps.
-func (r *Recorder) Reset() {
-	r.steps = nil
-	r.dropped = 0
-}
-
 // formatValue renders a data word, using the conventional symbol for ∞.
 func formatValue(v gca.Value) string {
 	if v == gca.Inf {
 		return "∞"
 	}
 	return fmt.Sprintf("%d", v)
-}
-
-// RenderIndexGrid renders the cell matrix with linear indices, marking
-// active (changed) cells with a trailing '*' — the paper's shading. The
-// field is interpreted as rows×cols row-major cells.
-func RenderIndexGrid(st Step, rows, cols int) string {
-	return renderGrid(rows, cols, func(idx int) (string, bool) {
-		active := st.Changed != nil && st.Changed[idx]
-		return fmt.Sprintf("%d", idx), active
-	})
 }
 
 // RenderDataGrid renders the field data after the step, marking active

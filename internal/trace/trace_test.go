@@ -38,8 +38,8 @@ func TestRecorderCapturesEveryStep(t *testing.T) {
 	if len(rec.Steps()) != core.TotalGenerations(4) {
 		t.Fatalf("recorded %d steps, want %d", len(rec.Steps()), core.TotalGenerations(4))
 	}
-	if rec.Dropped() != 0 {
-		t.Fatalf("dropped %d steps", rec.Dropped())
+	if rec.dropped != 0 {
+		t.Fatalf("dropped %d steps", rec.dropped)
 	}
 	for i, st := range rec.Steps() {
 		if len(st.Data) != 20 {
@@ -57,12 +57,8 @@ func TestRecorderCap(t *testing.T) {
 	if len(rec.Steps()) != 3 {
 		t.Fatalf("recorded %d steps, want 3", len(rec.Steps()))
 	}
-	if rec.Dropped() != core.TotalGenerations(4)-3 {
-		t.Fatalf("dropped %d", rec.Dropped())
-	}
-	rec.Reset()
-	if len(rec.Steps()) != 0 || rec.Dropped() != 0 {
-		t.Fatal("Reset did not clear")
+	if rec.dropped != core.TotalGenerations(4)-3 {
+		t.Fatalf("dropped %d", rec.dropped)
 	}
 }
 
@@ -137,16 +133,6 @@ func TestGoldenGeneration0Grid(t *testing.T) {
 		"+----+----+----+----+\n"
 	if out != want {
 		t.Fatalf("golden mismatch:\ngot:\n%s\nwant:\n%s", out, want)
-	}
-}
-
-func TestIndexGrid(t *testing.T) {
-	rec := recordRun(t, paperN4Graph(), 1)
-	out := RenderIndexGrid(rec.Steps()[0], 5, 4)
-	for _, frag := range []string{"| 0 ", "| 19", "| 4*"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("index grid missing %q:\n%s", frag, out)
-		}
 	}
 }
 

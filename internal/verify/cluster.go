@@ -33,12 +33,6 @@ type ClusterOptions struct {
 	Workers int
 }
 
-// DefaultClusterOptions conforms every engine over 1-, 2- and 4-replica
-// topologies at a small corpus size.
-func DefaultClusterOptions() ClusterOptions {
-	return ClusterOptions{N: 16, Seed: 1}
-}
-
 // RunCluster replays the conformance corpus through in-process cluster
 // topologies and holds every answer to the single-process truth.
 //

@@ -75,11 +75,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions enables every check over all engines at a small size.
-func DefaultOptions() Options {
-	return Options{N: 32, Seed: 1, Service: true, Metamorphic: true, Oracles: true}
-}
-
 // runner executes one engine over one of the three paths.
 type runner struct {
 	engine  gcacc.Engine
