@@ -56,8 +56,8 @@ verify:
 
 # Chaos conformance tier: the seeded fault-injection soak under the race
 # detector — every successful response under injected step errors,
-# delays and stalls must equal union-find ground truth, and the retry/
-# breaker/fallback machinery must demonstrably fire. Override
+# delays and stalls must equal union-find ground truth, and the breaker
+# and its sequential fallback must demonstrably fire. Override
 # CHAOS_REQUESTS (and GCACC_CHAOS_N / GCACC_CHAOS_SEED) to scale the
 # soak. See TESTING.md "Chaos".
 CHAOS_REQUESTS ?= 400

@@ -84,24 +84,23 @@ func runTopology(o topoOptions) ([]benchPoint, error) {
 		return nil, err
 	}
 	var inj *fault.Injector
-	retries := 0
+	breakerN := 0
 	if o.faultSpec != "" {
 		cfg, err := fault.ParseSpec(o.faultSpec)
 		if err != nil {
 			return nil, err
 		}
 		inj = fault.New(cfg)
-		retries = 3 // degrade under injected faults rather than fail the measurement
+		breakerN = 3 // degrade under injected faults rather than fail the measurement
 	}
 	top, err := cluster.NewInProcessTopology(o.replicas, service.Config{
-		Workers:            2,
-		QueueDepth:         256,
-		CacheEntries:       512,
-		MaxVertices:        o.vertices + 8,
-		Fault:              inj,
-		Seed:               o.seed,
-		RetryMax:           retries,
-		FallbackSequential: o.faultSpec != "",
+		Workers:          2,
+		QueueDepth:       256,
+		CacheEntries:     512,
+		MaxVertices:      o.vertices + 8,
+		Fault:            inj,
+		BreakerThreshold: breakerN,
+		BreakerCooldown:  2 * time.Millisecond,
 	}, cluster.Config{Mode: mode, Fault: inj})
 	if err != nil {
 		return nil, err

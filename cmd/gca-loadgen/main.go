@@ -164,7 +164,6 @@ func main() {
 		byShard   map[int][]time.Duration // keyed by X-GCA-Shard-Owner when present
 		ok        int
 		degraded  int
-		retries   int
 		rejected  int // 429
 		failed    int // transport errors and other non-200s
 	}
@@ -205,7 +204,6 @@ func main() {
 					// splits the two); labels=0 keeps it a few dozen bytes.
 					var r struct {
 						Degraded bool `json:"degraded"`
-						Retries  int  `json:"retries"`
 					}
 					if json.NewDecoder(resp.Body).Decode(&r) == nil && r.Degraded {
 						st.degraded++
@@ -213,7 +211,6 @@ func main() {
 					} else {
 						st.latencies = append(st.latencies, lat)
 					}
-					st.retries += r.Retries
 					// A sharded deployment names the owner on every response.
 					if shard := resp.Header.Get(cluster.OwnerHeader); shard != "" {
 						if s, err := strconv.Atoi(shard); err == nil {
@@ -235,7 +232,7 @@ func main() {
 
 	var clean, deg []time.Duration
 	byShard := map[int][]time.Duration{}
-	ok, degraded, retries, rejected, failed := 0, 0, 0, 0, 0
+	ok, degraded, rejected, failed := 0, 0, 0, 0
 	for i := range stats {
 		clean = append(clean, stats[i].latencies...)
 		deg = append(deg, stats[i].degLat...)
@@ -244,7 +241,6 @@ func main() {
 		}
 		ok += stats[i].ok
 		degraded += stats[i].degraded
-		retries += stats[i].retries
 		rejected += stats[i].rejected
 		failed += stats[i].failed
 	}
@@ -253,8 +249,8 @@ func main() {
 	fmt.Printf("requests=%d ok=%d rejected429=%d failed=%d elapsed=%.2fs throughput=%.1f req/s\n",
 		ok+rejected+failed, ok, rejected, failed, elapsed.Seconds(),
 		float64(ok)/elapsed.Seconds())
-	if degraded > 0 || retries > 0 || *faultSpec != "" {
-		fmt.Printf("chaos: degraded=%d clean=%d retries=%d\n", degraded, ok-degraded, retries)
+	if degraded > 0 || *faultSpec != "" {
+		fmt.Printf("chaos: degraded=%d clean=%d\n", degraded, ok-degraded)
 	}
 	printLatency("latency(clean)", clean)
 	printLatency("latency(degraded)", deg)
@@ -294,9 +290,9 @@ func main() {
 				st.Completed, st.CacheHits, st.CacheMisses, st.Coalesced, st.RejectedFull, st.Generations)
 			fmt.Printf("server: queue_wait p50=%dµs p99=%dµs · run p50=%dµs p99=%dµs\n",
 				st.QueueWait.P50US, st.QueueWait.P99US, st.RunTime.P50US, st.RunTime.P99US)
-			if *faultSpec != "" || st.Retries > 0 || st.BreakerTrips > 0 || st.DegradedOverload > 0 {
-				fmt.Printf("server: retries=%d breaker_trips=%d breaker_open=%d fallback=%d degraded_overload=%d panics=%d\n",
-					st.Retries, st.BreakerTrips, st.BreakerOpen, st.FallbackBreaker, st.DegradedOverload, st.EnginePanics)
+			if *faultSpec != "" || st.BreakerTrips > 0 || st.DegradedOverload > 0 {
+				fmt.Printf("server: breaker_trips=%d breaker_open=%d fallback=%d degraded_overload=%d panics=%d\n",
+					st.BreakerTrips, st.BreakerOpen, st.FallbackBreaker, st.DegradedOverload, st.EnginePanics)
 			}
 			if st.Faults != nil {
 				fmt.Printf("server: injected step_errors=%d step_delays=%d worker_stalls=%d over %d runs\n",

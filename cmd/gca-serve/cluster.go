@@ -92,17 +92,6 @@ func buildCluster(svc *service.Service, f clusterFlags) (node *cluster.Node, pee
 	return node, peerURLs, redirect, nil
 }
 
-// clusterComponentsResponse is the single-request body with routing
-// provenance appended.
-type clusterComponentsResponse struct {
-	componentsResponse
-	Owner         int  `json:"owner"`
-	Served        int  `json:"served"`
-	Proxied       bool `json:"proxied,omitempty"`
-	PeerCacheHit  bool `json:"peer_cache_hit,omitempty"`
-	FallbackLocal bool `json:"fallback_local,omitempty"`
-}
-
 // clusterComponentsHandler serves POST /v1/components on a multi-replica
 // deployment: the request routes to its shard owner, and every response
 // carries X-GCA-Shard-Owner. In redirect mode a non-owned request
@@ -129,15 +118,8 @@ func clusterComponentsHandler(node *cluster.Node, peerURLs []string, redirect bo
 			writeError(w, cluster.StatusOf(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, clusterComponentsResponse{
-			componentsResponse: buildComponentsResponse(req.Sparse.N(), res.Result,
-				r.URL.Query().Get("labels") != "0"),
-			Owner:         res.Owner,
-			Served:        res.Served,
-			Proxied:       res.Proxied,
-			PeerCacheHit:  res.PeerCacheHit,
-			FallbackLocal: res.FallbackLocal,
-		})
+		writeJSON(w, http.StatusOK, cluster.EncodeOutcome(cluster.ItemOutcome{Result: res},
+			r.URL.Query().Get("labels") != "0"))
 	}
 }
 

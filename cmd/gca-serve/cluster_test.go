@@ -240,7 +240,7 @@ func TestClusterHandlerOwnerHeader(t *testing.T) {
 	if got := w.Header().Get(cluster.OwnerHeader); got != "0" {
 		t.Errorf("%s = %q, want \"0\" on a single-member ring", cluster.OwnerHeader, got)
 	}
-	var resp clusterComponentsResponse
+	var resp cluster.WireOutcome
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

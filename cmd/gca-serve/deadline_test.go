@@ -150,7 +150,7 @@ func TestComponentsHandlerDeadlineExpiresInQueue(t *testing.T) {
 	if bw.Code != http.StatusOK {
 		t.Fatalf("blocker request failed: %d (body %q)", bw.Code, bw.Body.String())
 	}
-	var blocker componentsResponse
+	var blocker cluster.WireOutcome
 	if err := json.Unmarshal(bw.Body.Bytes(), &blocker); err != nil {
 		t.Fatalf("decoding blocker response: %v", err)
 	}

@@ -15,12 +15,12 @@
 //	    queue 429, an oversized body or a graph above -max-vertices 413,
 //	    a dense-only engine asked for a graph above gcacc.DenseCutoff
 //	    (4096) vertices 422 (the error names the sparse-capable
-//	    engines), an expired deadline 504, an
-//	    open circuit breaker without fallback 503, and a client that
-//	    disconnects mid-request 499 (nginx's "client closed request";
-//	    only the access log sees it).
+//	    engines), an expired deadline 504, a panicking engine 500, and
+//	    a client that disconnects mid-request 499 (nginx's "client
+//	    closed request"; only the access log sees it). The success body
+//	    is a cluster.WireOutcome, the encoding batch items use too.
 //	GET  /v1/stats      JSON metrics snapshot (queue, cache, latencies,
-//	    retries, breaker state, fallbacks, injected-fault counters).
+//	    breaker state, fallbacks, injected-fault counters).
 //	PUT/GET/DELETE /v1/graphs/{name} · POST/DELETE /v1/graphs/{name}/edges
 //	GET /v1/graphs/{name}/components · GET /v1/graphs
 //	    The named-graph streaming API (stream.go): long-lived graphs
@@ -31,12 +31,12 @@
 //	GET  /healthz       liveness probe.
 //	GET  /debug/vars    the same snapshot via expvar.
 //
-// Resilience knobs: -retries/-retry-base bound retry of transient engine
-// failures, -breaker/-breaker-cooldown configure the per-engine circuit
-// breaker, -fallback degrades to the sequential engine when a breaker is
-// open, -degrade-depth demotes jobs to sequential under queue pressure,
-// and -max-timeout caps every request's deadline budget. A degraded
-// response reports "degraded": true and the engine that actually ran.
+// Resilience knobs: -breaker/-breaker-cooldown configure the per-engine
+// circuit breaker, whose open state degrades the engine's requests to
+// the sequential engine; -degrade-depth demotes jobs to sequential under
+// queue pressure; and -max-timeout caps every request's deadline budget.
+// A degraded response reports "degraded": true and the engine that
+// actually ran.
 //
 // Chaos mode (testing the above): -fault injects a deterministic
 // service-wide fault schedule (internal/fault spec grammar), and -chaos
@@ -82,16 +82,12 @@ func main() {
 		maxVertices = flag.Int("max-vertices", graph.MaxParseVertices, "largest admitted graph")
 		maxBody     = flag.Int64("max-body", 64<<20, "largest accepted request body in bytes")
 
-		retries         = flag.Int("retries", 0, "max retries of transient engine failures per request")
-		retryBase       = flag.Duration("retry-base", time.Millisecond, "first retry backoff (doubled per retry)")
-		breakerN        = flag.Int("breaker", 0, "consecutive failures tripping an engine's circuit breaker (0 = off)")
+		breakerN        = flag.Int("breaker", 0, "consecutive failures tripping an engine's circuit breaker; an open breaker degrades to the sequential engine (0 = off)")
 		breakerCooldown = flag.Duration("breaker-cooldown", 500*time.Millisecond, "open-breaker cooldown before a half-open probe")
-		fallback        = flag.Bool("fallback", false, "degrade to the sequential engine when a breaker is open")
 		degradeDepth    = flag.Int("degrade-depth", 0, "queue depth at which jobs demote to the sequential engine (0 = off)")
 
 		faultSpec = flag.String("fault", "", "service-wide fault-injection schedule, e.g. seed=7,steperr=0.01,stepdelay=0.05:200us (empty = none)")
 		chaos     = flag.Bool("chaos", false, "accept per-request fault schedules via the `fault` query parameter")
-		seed      = flag.Int64("seed", 0, "seed for the deterministic retry-backoff jitter")
 
 		streamGraphs   = flag.Int("stream-graphs", 64, "max named streaming graphs (0 disables the /v1/graphs API)")
 		streamVertices = flag.Int("stream-max-vertices", 1<<20, "largest named streaming graph")
@@ -121,22 +117,18 @@ func main() {
 	}
 
 	svc := service.New(service.Config{
-		QueueDepth:         *queueDepth,
-		Workers:            *workers,
-		SimWorkers:         *simWorkers,
-		CacheEntries:       *cacheSize,
-		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTimeout,
-		MaxVertices:        *maxVertices,
-		ExpvarName:         "gcacc_service",
-		Fault:              inj,
-		Seed:               *seed,
-		RetryMax:           *retries,
-		RetryBase:          *retryBase,
-		BreakerThreshold:   *breakerN,
-		BreakerCooldown:    *breakerCooldown,
-		FallbackSequential: *fallback,
-		DegradeDepth:       *degradeDepth,
+		QueueDepth:       *queueDepth,
+		Workers:          *workers,
+		SimWorkers:       *simWorkers,
+		CacheEntries:     *cacheSize,
+		DefaultTimeout:   *timeout,
+		MaxTimeout:       *maxTimeout,
+		MaxVertices:      *maxVertices,
+		ExpvarName:       "gcacc_service",
+		Fault:            inj,
+		BreakerThreshold: *breakerN,
+		BreakerCooldown:  *breakerCooldown,
+		DegradeDepth:     *degradeDepth,
 	})
 
 	node, peerURLs, redirect, err := buildCluster(svc, clusterFlags{
@@ -220,22 +212,6 @@ func main() {
 	log.Printf("gca-serve: bye")
 }
 
-// componentsResponse is the JSON body of a successful labelling.
-type componentsResponse struct {
-	N           int    `json:"n"`
-	Components  int    `json:"components"`
-	Engine      string `json:"engine"`
-	Cached      bool   `json:"cached"`
-	Coalesced   bool   `json:"coalesced"`
-	Degraded    bool   `json:"degraded,omitempty"`
-	Retries     int    `json:"retries,omitempty"`
-	Generations int    `json:"generations,omitempty"`
-	PRAMSteps   int    `json:"pram_steps,omitempty"`
-	WaitUS      int64  `json:"wait_us"`
-	RunUS       int64  `json:"run_us"`
-	Labels      []int  `json:"labels,omitempty"`
-}
-
 // parseComponents decodes a POST /v1/components request (query knobs +
 // graph body) into a service request. On failure it writes the error
 // response and reports ok = false.
@@ -286,28 +262,9 @@ func parseComponents(w http.ResponseWriter, r *http.Request, maxBody int64, chao
 	}, true
 }
 
-// buildComponentsResponse assembles the success body shared by the
-// standalone and cluster-routed handlers.
-func buildComponentsResponse(n int, res *service.Result, withLabels bool) componentsResponse {
-	resp := componentsResponse{
-		N:           n,
-		Components:  res.Components,
-		Engine:      res.Engine,
-		Cached:      res.Cached,
-		Coalesced:   res.Coalesced,
-		Degraded:    res.Degraded,
-		Retries:     res.Retries,
-		Generations: res.Generations,
-		PRAMSteps:   res.PRAMSteps,
-		WaitUS:      res.Wait.Microseconds(),
-		RunUS:       res.Run.Microseconds(),
-	}
-	if withLabels {
-		resp.Labels = res.Labels
-	}
-	return resp
-}
-
+// componentsHandler serves POST /v1/components on a standalone server:
+// the request goes straight to the local service, and the result is
+// encoded as owner 0, served 0 — what the one-member ring says.
 func componentsHandler(svc *service.Service, maxBody int64, chaos bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req, ok := parseComponents(w, r, maxBody, chaos)
@@ -319,8 +276,8 @@ func componentsHandler(svc *service.Service, maxBody int64, chaos bool) http.Han
 			writeError(w, cluster.StatusOf(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK,
-			buildComponentsResponse(req.Sparse.N(), res, r.URL.Query().Get("labels") != "0"))
+		writeJSON(w, http.StatusOK, cluster.EncodeOutcome(cluster.ItemOutcome{Result: &cluster.Result{Result: res}},
+			r.URL.Query().Get("labels") != "0"))
 	}
 }
 

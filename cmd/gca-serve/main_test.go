@@ -59,7 +59,7 @@ func TestComponentsHandlerSuccess(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (body %q)", w.Code, w.Body.String())
 	}
-	var resp componentsResponse
+	var resp cluster.WireOutcome
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decoding response: %v", err)
 	}
@@ -211,7 +211,6 @@ func TestStatusOf(t *testing.T) {
 		{service.ErrTooLarge, http.StatusRequestEntityTooLarge},
 		{service.ErrDenseOnly, http.StatusUnprocessableEntity},
 		{service.ErrClosed, http.StatusServiceUnavailable},
-		{service.ErrBreakerOpen, http.StatusServiceUnavailable},
 		{service.ErrInvalidEngine, http.StatusBadRequest},
 		{service.ErrNilGraph, http.StatusBadRequest},
 		{service.ErrEnginePanic, http.StatusInternalServerError},

@@ -78,7 +78,7 @@ func TestComponentsHandlerSparseAdmission(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("liutarjan at n=10⁶: status = %d, want 200 (body %.200q)", w.Code, w.Body.String())
 	}
-	var resp componentsResponse
+	var resp cluster.WireOutcome
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -407,7 +407,6 @@ func TestStatusOf(t *testing.T) {
 		{ErrBatchTooLarge, 413},
 		{service.ErrDenseOnly, 422},
 		{service.ErrClosed, 503},
-		{service.ErrBreakerOpen, 503},
 		{ErrNodeDown, 503},
 		{ErrPeerDown, 503},
 		{ErrEmptyBatch, 400},

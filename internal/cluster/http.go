@@ -66,8 +66,7 @@ func StatusOf(err error) int {
 		// input this size: 422, so clients can tell "pick a sparse
 		// engine" apart from "shrink the graph" (413).
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, service.ErrClosed), errors.Is(err, service.ErrBreakerOpen),
-		errors.Is(err, ErrNodeDown), errors.Is(err, ErrPeerDown):
+	case errors.Is(err, service.ErrClosed), errors.Is(err, ErrNodeDown), errors.Is(err, ErrPeerDown):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, service.ErrInvalidEngine), errors.Is(err, service.ErrNilGraph),
 		errors.Is(err, ErrEmptyBatch):
@@ -119,7 +118,6 @@ type WireOutcome struct {
 	Cached      bool   `json:"cached,omitempty"`
 	Coalesced   bool   `json:"coalesced,omitempty"`
 	Degraded    bool   `json:"degraded,omitempty"`
-	Retries     int    `json:"retries,omitempty"`
 	Generations int    `json:"generations,omitempty"`
 	PRAMSteps   int    `json:"pram_steps,omitempty"`
 	WaitUS      int64  `json:"wait_us"`
@@ -212,7 +210,6 @@ func EncodeOutcome(oc ItemOutcome, withLabels bool) WireOutcome {
 		Cached:        r.Cached,
 		Coalesced:     r.Coalesced,
 		Degraded:      r.Degraded,
-		Retries:       r.Retries,
 		Generations:   r.Generations,
 		PRAMSteps:     r.PRAMSteps,
 		WaitUS:        r.Wait.Microseconds(),
@@ -240,7 +237,6 @@ func DecodeOutcome(w WireOutcome) ItemOutcome {
 			Cached:      w.Cached,
 			Coalesced:   w.Coalesced,
 			Degraded:    w.Degraded,
-			Retries:     w.Retries,
 			Wait:        time.Duration(w.WaitUS) * time.Microsecond,
 			Run:         time.Duration(w.RunUS) * time.Microsecond,
 		},

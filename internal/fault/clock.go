@@ -7,11 +7,10 @@ import (
 )
 
 // Clock abstracts the time operations the resilience machinery depends
-// on — queue-wait measurement, retry backoff, breaker cooldowns and the
-// injector's own sleeps — so tests can drive them deterministically with
-// a FakeClock instead of real sleeping. Context deadlines remain real
-// time: a fake clock virtualises the service's *own* waits, not the
-// runtime's timers.
+// on — queue-wait measurement, breaker cooldowns and the injector's own
+// sleeps — so tests can drive them deterministically with a FakeClock
+// instead of real sleeping. Context deadlines remain real time: a fake
+// clock virtualises the service's *own* waits, not the runtime's timers.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
@@ -44,7 +43,7 @@ func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 // FakeClock is a manually advanced clock: Sleep blocks until Advance has
 // moved the clock past the wake-up time (or the context is done). Tests
 // use it to step breakers through open → half-open → closed and to check
-// backoff arithmetic without waiting real time.
+// the injector's sleeps without waiting real time.
 type FakeClock struct {
 	mu      sync.Mutex
 	now     time.Time

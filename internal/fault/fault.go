@@ -2,16 +2,17 @@
 // chaos conformance tier: a seeded injector whose per-step decisions
 // (artificial latency, worker stalls, forced transient errors) are pure
 // functions of (seed, run ordinal, decision index), an injectable clock
-// so resilience machinery (retry backoff, breaker cooldowns) can be
-// tested without real sleeping, and a tiny spec grammar so every command
-// can switch the same fault schedules on from a flag.
+// so resilience machinery (breaker cooldowns) can be tested without real
+// sleeping, and a tiny spec grammar so every command can switch the same
+// fault schedules on from a flag.
 //
-// The paper's GCA model assumes perfectly synchronous, fault-free cells;
-// a serving system cannot. The injector lets the test suite subject the
-// whole stack — stepping engine, retry/breaker/fallback layer, HTTP
-// handlers — to adversarial schedules while keeping the one invariant
-// that matters checkable: faults may surface as errors, retries or
-// documented fallbacks, never as a silently wrong answer.
+// The paper's GCA model assumes perfectly synchronous, fault-free cells,
+// and every engine here is as deterministic: the injector is the only
+// source of transient failures. It lets the test suite subject the whole
+// stack — stepping engine, breaker/fallback layer, HTTP handlers — to
+// adversarial schedules while keeping the one invariant that matters
+// checkable: faults may surface as errors or documented fallbacks, never
+// as a silently wrong answer.
 //
 // Determinism contract: each engine run draws its decisions from a
 // stream seeded by (Config.Seed, run ordinal), so a fault schedule is
@@ -31,13 +32,14 @@ import (
 	"time"
 )
 
-// ErrTransient marks failures that are safe to retry: the run aborted
-// without producing (or corrupting) a result, and a fresh attempt may
-// succeed. Injected step failures wrap it; resilience layers classify
-// with IsTransient rather than matching this sentinel directly.
+// ErrTransient marks an injected failure: the run, batch or peer call
+// aborted without producing (or corrupting) a result. Only the injector
+// produces it. Every injected failure wraps it; the chaos tiers classify
+// with IsTransient rather than matching this sentinel directly, to tell
+// a tolerated injected failure from a real one.
 var ErrTransient = errors.New("fault: transient failure")
 
-// IsTransient reports whether err is marked safe to retry.
+// IsTransient reports whether err is an injected failure.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // Config describes a fault schedule. The zero value injects nothing.
@@ -307,13 +309,13 @@ func (in *Injector) NewRun() *Run {
 func (r *Run) BeforeStep(ctx context.Context, gen int) error {
 	n := r.steps.Add(1)
 	cfg := r.inj.cfg
-	if cfg.StepDelayP > 0 && cfg.StepDelay > 0 && Uniform01(r.seed^siteStepDelay, n) < cfg.StepDelayP {
+	if cfg.StepDelayP > 0 && cfg.StepDelay > 0 && uniform01(r.seed^siteStepDelay, n) < cfg.StepDelayP {
 		r.inj.stepDelays.Add(1)
 		if err := r.inj.clock.Sleep(ctx, cfg.StepDelay); err != nil {
 			return err
 		}
 	}
-	if cfg.StepErrorP > 0 && Uniform01(r.seed^siteStepError, n) < cfg.StepErrorP {
+	if cfg.StepErrorP > 0 && uniform01(r.seed^siteStepError, n) < cfg.StepErrorP {
 		r.inj.stepErrors.Add(1)
 		return fmt.Errorf("fault: injected step failure (run step %d, generation %d): %w",
 			n, gen, ErrTransient)
@@ -330,7 +332,7 @@ func (r *Run) WorkerStall(ctx context.Context, worker int) {
 		return
 	}
 	n := r.stalls.Add(1)
-	if Uniform01(r.seed^siteStall^splitmix64(uint64(worker)), n) < cfg.StallP {
+	if uniform01(r.seed^siteStall^splitmix64(uint64(worker)), n) < cfg.StallP {
 		r.inj.workerStalls.Add(1)
 		// The stall is pure delay; an interrupt is not an error here.
 		_ = r.inj.clock.Sleep(ctx, cfg.Stall)
@@ -347,7 +349,7 @@ func (in *Injector) BeforeBatch() error {
 	}
 	n := in.batches.Add(1)
 	seed := splitmix64(uint64(in.cfg.Seed)) ^ siteBatch
-	if Uniform01(seed, n) < in.cfg.BatchErrorP {
+	if uniform01(seed, n) < in.cfg.BatchErrorP {
 		in.batchAborts.Add(1)
 		return fmt.Errorf("fault: injected batch abort (batch %d): %w", n, ErrTransient)
 	}
@@ -367,13 +369,13 @@ func (in *Injector) BeforePeerCall(ctx context.Context) error {
 	}
 	n := in.peerCalls.Add(1)
 	seed := splitmix64(uint64(cfg.Seed))
-	if cfg.PeerStallP > 0 && cfg.PeerStall > 0 && Uniform01(seed^sitePeerStall, n) < cfg.PeerStallP {
+	if cfg.PeerStallP > 0 && cfg.PeerStall > 0 && uniform01(seed^sitePeerStall, n) < cfg.PeerStallP {
 		in.peerStalls.Add(1)
 		// The stall is pure delay; an interrupt surfaces at the caller's
 		// own deadline check, not here.
 		_ = in.clock.Sleep(ctx, cfg.PeerStall)
 	}
-	if cfg.PeerErrorP > 0 && Uniform01(seed^sitePeerErr, n) < cfg.PeerErrorP {
+	if cfg.PeerErrorP > 0 && uniform01(seed^sitePeerErr, n) < cfg.PeerErrorP {
 		in.peerErrors.Add(1)
 		return fmt.Errorf("fault: injected peer-call failure (call %d): %w", n, ErrTransient)
 	}
@@ -389,10 +391,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Uniform01 returns a deterministic uniform draw in [0,1) for decision n
+// uniform01 returns a deterministic uniform draw in [0,1) for decision n
 // of the stream named by seed — the stateless primitive behind every
-// injector decision, exported so resilience code (retry jitter) can
-// share it instead of reaching for a locked rand.Rand.
-func Uniform01(seed, n uint64) float64 {
+// injector decision, in place of a locked rand.Rand.
+func uniform01(seed, n uint64) float64 {
 	return float64(splitmix64(seed^splitmix64(n))>>11) / (1 << 53)
 }

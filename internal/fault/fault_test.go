@@ -10,12 +10,12 @@ import (
 func TestUniform01Deterministic(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		for n := uint64(0); n < 100; n++ {
-			a, b := Uniform01(seed, n), Uniform01(seed, n)
+			a, b := uniform01(seed, n), uniform01(seed, n)
 			if a != b {
-				t.Fatalf("Uniform01(%d,%d) not deterministic: %v vs %v", seed, n, a, b)
+				t.Fatalf("uniform01(%d,%d) not deterministic: %v vs %v", seed, n, a, b)
 			}
 			if a < 0 || a >= 1 {
-				t.Fatalf("Uniform01(%d,%d) = %v outside [0,1)", seed, n, a)
+				t.Fatalf("uniform01(%d,%d) = %v outside [0,1)", seed, n, a)
 			}
 		}
 	}
@@ -27,7 +27,7 @@ func TestUniform01RoughlyUniform(t *testing.T) {
 	const draws = 10000
 	var below int
 	for n := uint64(0); n < draws; n++ {
-		if Uniform01(42, n) < 0.5 {
+		if uniform01(42, n) < 0.5 {
 			below++
 		}
 	}

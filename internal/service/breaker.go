@@ -57,6 +57,27 @@ func (b *breaker) allow() bool {
 	}
 }
 
+// observe records the outcome of an attempt the breaker admitted. A
+// context error (the caller gave up, or the deadline passed) says
+// nothing about engine health: it neither counts as a failure nor closes
+// the breaker. When it ends the half-open probe, the breaker returns to
+// open with its cooldown already elapsed, so the next request becomes
+// the probe.
+func (b *breaker) observe(err error) {
+	switch {
+	case err == nil:
+		b.onSuccess()
+	case !isContextErr(err):
+		b.onFailure()
+	default:
+		b.mu.Lock()
+		if b.state == breakerHalfOpen {
+			b.state = breakerOpen
+		}
+		b.mu.Unlock()
+	}
+}
+
 // onSuccess records a successful attempt: the breaker closes and the
 // failure streak resets.
 func (b *breaker) onSuccess() {
@@ -66,10 +87,9 @@ func (b *breaker) onSuccess() {
 	b.mu.Unlock()
 }
 
-// onFailure records a failed attempt (context cancellations do not
-// count — they say nothing about engine health). A failed half-open
-// probe re-opens immediately; a closed breaker opens once the streak
-// reaches the threshold.
+// onFailure records a failed attempt. A failed half-open probe re-opens
+// immediately; a closed breaker opens once the streak reaches the
+// threshold.
 func (b *breaker) onFailure() {
 	b.mu.Lock()
 	b.consecutive++

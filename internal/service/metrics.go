@@ -25,7 +25,6 @@ type serviceMetrics struct {
 	failed          metrics.Counter // jobs that returned a non-context error
 	canceled        metrics.Counter // jobs aborted by their context
 
-	retries          metrics.Counter // transient-failure retries of engine attempts
 	fallbackBreaker  metrics.Counter // attempts degraded to sequential because a breaker was open
 	degradedOverload metrics.Counter // jobs demoted to sequential at dequeue (queue depth ≥ DegradeDepth)
 	enginePanics     metrics.Counter // engine runs contained by the panic recovery
@@ -60,7 +59,6 @@ type Stats struct {
 	Failed          int64 `json:"failed"`
 	Canceled        int64 `json:"canceled"`
 
-	Retries          int64 `json:"retries"`
 	BreakerTrips     int64 `json:"breaker_trips"`
 	BreakerOpen      int64 `json:"breaker_open"`
 	FallbackBreaker  int64 `json:"fallback_breaker"`

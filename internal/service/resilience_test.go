@@ -12,80 +12,33 @@ import (
 	"gcacc/internal/graph"
 )
 
-// TestRetryTransientSucceeds drives a fault-injected service hard enough
-// that some engine attempts must fail, and checks every request still
-// returns the correct labels — retries absorb the transient failures.
-func TestRetryTransientSucceeds(t *testing.T) {
-	inj := fault.New(fault.Config{Seed: 7, StepErrorP: 0.05})
-	svc := New(Config{
-		Workers:      2,
-		CacheEntries: -1,
-		Fault:        inj,
-		Seed:         7,
-		RetryMax:     50,
-		RetryBase:    100 * time.Microsecond,
-		RetryCap:     time.Millisecond,
-	})
-	defer svc.Close()
-
-	g := graph.Path(2) // 12 generations per run: each attempt fails with p ≈ 0.46
-	want := graph.ConnectedComponentsUnionFind(g)
-	for i := 0; i < 30; i++ {
-		res, err := svc.Submit(context.Background(), Request{Graph: g, Engine: gcacc.EngineGCA})
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		for v, l := range res.Labels {
-			if l != want[v] {
-				t.Fatalf("request %d: label[%d] = %d, want %d", i, v, l, want[v])
-			}
-		}
-		if res.Degraded {
-			t.Fatalf("request %d degraded with no breaker or degrade depth configured", i)
-		}
-	}
-
-	st := svc.Stats()
-	if st.Completed != 30 {
-		t.Errorf("completed = %d, want 30", st.Completed)
-	}
-	// P(no attempt fails over 30 requests) ≈ 0.54^30 ≈ 1e-8.
-	if st.Retries == 0 {
-		t.Error("retries = 0 under p=0.05 step errors across 30 requests")
-	}
-	if st.Faults == nil || st.Faults.StepErrors == 0 {
-		t.Errorf("stats faults = %+v, want non-zero step errors", st.Faults)
-	}
-}
-
 // TestBreakerTripsAndFallsBack pins the breaker→fallback path end to
-// end with a deterministic always-failing injector: the first attempt
-// fails and trips the threshold-1 breaker, the retry finds it open and
-// degrades to the sequential engine, and the caller gets a correct,
-// explicitly-degraded answer.
+// end with a real failure, a panicking engine: the panic trips the
+// threshold-1 breaker, and the next request for that engine is answered
+// by the sequential engine, correctly and explicitly degraded.
 func TestBreakerTripsAndFallsBack(t *testing.T) {
-	svc := New(Config{
-		Workers:            1,
-		CacheEntries:       -1,
-		Fault:              fault.New(fault.Config{Seed: 3, StepErrorP: 1}),
-		RetryMax:           1,
-		RetryBase:          100 * time.Microsecond,
-		BreakerThreshold:   1,
-		BreakerCooldown:    time.Minute,
-		FallbackSequential: true,
-	})
+	svc := New(Config{Workers: 1, CacheEntries: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	svc.testHookEngineRun = func(e gcacc.Engine) {
+		if e == gcacc.EngineGCA {
+			panic("engine bug")
+		}
+	}
 	defer svc.Close()
 
 	g := graph.Cycle(6)
+	if _, err := svc.Submit(context.Background(), Request{Graph: g, Engine: gcacc.EngineGCA}); !errors.Is(err, ErrEnginePanic) {
+		t.Fatalf("err = %v, want ErrEnginePanic", err)
+	}
+	if st := svc.Stats(); st.BreakerTrips != 1 || st.BreakerOpen != 1 || st.EnginePanics != 1 {
+		t.Fatalf("trips=%d open=%d panics=%d, want 1/1/1", st.BreakerTrips, st.BreakerOpen, st.EnginePanics)
+	}
+
 	res, err := svc.Submit(context.Background(), Request{Graph: g, Engine: gcacc.EngineGCA})
 	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		t.Fatalf("Submit with the breaker open: %v", err)
 	}
 	if !res.Degraded || res.Engine != "sequential" {
 		t.Fatalf("result degraded=%v engine=%q, want degraded sequential fallback", res.Degraded, res.Engine)
-	}
-	if res.Retries != 1 {
-		t.Errorf("retries = %d, want 1 (fail, trip, fall back)", res.Retries)
 	}
 	want := graph.ConnectedComponentsUnionFind(g)
 	for v, l := range res.Labels {
@@ -93,44 +46,37 @@ func TestBreakerTripsAndFallsBack(t *testing.T) {
 			t.Fatalf("label[%d] = %d, want %d", v, l, want[v])
 		}
 	}
-
-	st := svc.Stats()
-	if st.BreakerTrips != 1 || st.BreakerOpen != 1 || st.FallbackBreaker != 1 {
-		t.Errorf("trips=%d open=%d fallback=%d, want 1/1/1",
-			st.BreakerTrips, st.BreakerOpen, st.FallbackBreaker)
-	}
-
-	// With the breaker still open, the next request falls back without
-	// even attempting the GCA engine — no retry needed.
-	res2, err := svc.Submit(context.Background(), Request{Graph: g, Engine: gcacc.EngineGCA})
-	if err != nil {
-		t.Fatalf("second Submit: %v", err)
-	}
-	if !res2.Degraded || res2.Retries != 0 {
-		t.Errorf("second result degraded=%v retries=%d, want degraded with 0 retries", res2.Degraded, res2.Retries)
+	if st := svc.Stats(); st.FallbackBreaker != 1 {
+		t.Errorf("fallback = %d, want 1", st.FallbackBreaker)
 	}
 }
 
-// TestBreakerOpenWithoutFallback checks the strict configuration: an
-// open breaker with no fallback rejects with ErrBreakerOpen.
-func TestBreakerOpenWithoutFallback(t *testing.T) {
-	svc := New(Config{
-		Workers:          1,
-		CacheEntries:     -1,
-		Fault:            fault.New(fault.Config{Seed: 3, StepErrorP: 1}),
-		RetryMax:         1,
-		RetryBase:        100 * time.Microsecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Minute,
-	})
+// TestBreakerProbeContextErrorNoVerdict pins that a half-open probe
+// ending in a context error gives no verdict: the next request becomes
+// the probe, instead of the engine staying rerouted for good. The
+// probe's deadline expires during a GCA run that takes far longer.
+func TestBreakerProbeContextErrorNoVerdict(t *testing.T) {
+	clk := fault.NewFakeClock(time.Unix(0, 0))
+	svc := New(Config{Workers: 1, CacheEntries: -1, Clock: clk, BreakerThreshold: 1, BreakerCooldown: time.Second})
 	defer svc.Close()
+	svc.breakers[gcacc.EngineGCA].onFailure() // trip
+	clk.Advance(time.Second)
 
-	_, err := svc.Submit(context.Background(), Request{Graph: graph.Path(4), Engine: gcacc.EngineGCA})
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := svc.Submit(ctx, Request{Graph: graph.Path(1024), Engine: gcacc.EngineGCA}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("probe: err = %v, want DeadlineExceeded", err)
 	}
-	if st := svc.Stats(); st.Failed != 1 || st.BreakerOpen != 1 {
-		t.Errorf("failed=%d open=%d, want 1/1", st.Failed, st.BreakerOpen)
+
+	res, err := svc.Submit(context.Background(), Request{Graph: graph.Cycle(6), Engine: gcacc.EngineGCA})
+	if err != nil {
+		t.Fatalf("request after the aborted probe: %v", err)
+	}
+	if res.Degraded || res.Engine != "gca" {
+		t.Fatalf("request after the aborted probe: degraded=%v engine=%q, want a gca run as the new probe", res.Degraded, res.Engine)
+	}
+	if st := svc.Stats(); st.BreakerOpen != 0 || st.BreakerTrips != 1 {
+		t.Errorf("open=%d trips=%d, want the breaker closed after 1 trip", st.BreakerOpen, st.BreakerTrips)
 	}
 }
 
@@ -345,7 +291,7 @@ func TestMaxTimeoutClamp(t *testing.T) {
 // the service-level injector for that request only.
 func TestPerRequestFaultOverride(t *testing.T) {
 	reqInj := fault.New(fault.Config{Seed: 9, StepErrorP: 1})
-	svc := New(Config{Workers: 1, CacheEntries: -1, RetryMax: 0})
+	svc := New(Config{Workers: 1, CacheEntries: -1})
 	defer svc.Close()
 
 	g := graph.Path(4)
@@ -388,32 +334,5 @@ func TestSequentialNeverInjected(t *testing.T) {
 	}
 	if c := inj.Counters(); c.StepErrors != 0 || c.WorkerStalls != 0 {
 		t.Errorf("injector counters = %+v, want zero — sequential must not be injected", c)
-	}
-}
-
-// TestBackoffBoundsAndJitter checks the backoff curve: doubling from
-// RetryBase, capped at RetryCap, jittered into [d/2, d).
-func TestBackoffBoundsAndJitter(t *testing.T) {
-	svc := New(Config{Workers: 1, RetryBase: time.Millisecond, RetryCap: 8 * time.Millisecond, Seed: 4})
-	defer svc.Close()
-
-	for attempt, wantMax := range []time.Duration{
-		time.Millisecond,
-		2 * time.Millisecond,
-		4 * time.Millisecond,
-		8 * time.Millisecond,
-		8 * time.Millisecond, // capped
-		8 * time.Millisecond,
-	} {
-		for i := 0; i < 10; i++ {
-			d := svc.backoff(attempt)
-			if d < wantMax/2 || d >= wantMax {
-				t.Fatalf("backoff(%d) = %v, want in [%v, %v)", attempt, d, wantMax/2, wantMax)
-			}
-		}
-	}
-	// Huge attempt counts must not overflow into negative shifts.
-	if d := svc.backoff(200); d < 4*time.Millisecond || d >= 8*time.Millisecond {
-		t.Fatalf("backoff(200) = %v, want capped", d)
 	}
 }

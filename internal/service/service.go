@@ -21,15 +21,17 @@
 // is deterministic, so one result serves them all, and a key is filled
 // at most once per residency.
 //
-// The resilience layer (opt-in via Config) handles engine runs that
-// fail transiently: bounded retry with exponential backoff and
-// deterministic jitter, a per-engine circuit breaker, and graceful
-// degradation to the sequential baseline under overload or when a
-// breaker is open. Degrading is safe because of the conformance
-// contract — every engine labels identically (internal/verify proves
-// it) — so a fallback changes provenance and cost, never the answer.
-// The chaos tier (internal/fault) drives all of it under seeded fault
-// schedules and checks exactly that invariant.
+// The resilience layer (opt-in via Config) handles the two failures a
+// deterministic engine zoo can meet: an engine bug and a deep queue. A
+// per-engine circuit breaker trips on failing runs (a panicking engine
+// panics again on the same input, so nothing is retried) and reroutes
+// the engine's traffic to the sequential baseline, and overload
+// degradation demotes jobs to it when the queue is deep. Degrading is
+// safe because of the conformance contract — every engine labels
+// identically (internal/verify proves it) — so a fallback changes
+// provenance and cost, never the answer. The chaos tier (internal/fault)
+// drives all of it under seeded fault schedules and checks exactly that
+// invariant.
 package service
 
 import (
@@ -39,7 +41,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gcacc"
@@ -62,12 +63,9 @@ var (
 	// engine cannot process an input that size — retrying cannot help,
 	// switching to a sparse-capable engine can.
 	ErrDenseOnly = errors.New("service: engine needs the dense representation")
-	// ErrBreakerOpen rejects a job whose engine's circuit breaker is open
-	// and no fallback is configured (→ 503).
-	ErrBreakerOpen = errors.New("service: engine circuit breaker open")
 	// ErrEnginePanic reports an engine run that panicked; the worker
-	// recovered and stays alive (→ 500). Panics are not transient: they
-	// are never retried and they count against the breaker.
+	// recovered and stays alive (→ 500). A panic counts against the
+	// engine's breaker.
 	ErrEnginePanic = errors.New("service: engine panicked")
 )
 
@@ -112,29 +110,18 @@ type Config struct {
 	// every non-sequential engine run (see internal/fault). The sequential
 	// fallback is never injected — that is what makes degrading to it safe.
 	Fault *fault.Injector
-	// Clock supplies time for queue-wait measurement, retry backoff and
-	// breaker cooldowns; nil selects the wall clock. Tests substitute a
+	// Clock supplies time for queue-wait measurement and breaker
+	// cooldowns; nil selects the wall clock. Tests substitute a
 	// fault.FakeClock. Context deadlines remain real time.
 	Clock fault.Clock
-	// Seed drives the deterministic retry-backoff jitter.
-	Seed int64
-	// RetryMax is the number of retries (beyond the first attempt) for
-	// transient engine failures (fault.IsTransient); 0 disables retry.
-	RetryMax int
-	// RetryBase is the first backoff delay, doubled per retry; <= 0
-	// selects 1ms.
-	RetryBase time.Duration
-	// RetryCap bounds the backoff delay; <= 0 selects 50ms.
-	RetryCap time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips an
-	// engine's circuit breaker; 0 disables breakers.
+	// engine's circuit breaker; 0 disables breakers. An open breaker
+	// degrades its engine's jobs to the sequential engine, the cheapest
+	// there is, so refusing them would save no work.
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker blocks attempts
-	// before letting a half-open probe through; <= 0 selects 500ms.
+	// BreakerCooldown is how long a tripped breaker reroutes its engine's
+	// jobs before letting a half-open probe through; <= 0 selects 500ms.
 	BreakerCooldown time.Duration
-	// FallbackSequential degrades a job to the sequential engine instead
-	// of failing it when its engine's breaker is open.
-	FallbackSequential bool
 	// DegradeDepth demotes non-sequential jobs to the sequential engine
 	// when the queue depth at dequeue is at or beyond this bound — shed
 	// simulator load, keep answering. 0 disables overload degradation.
@@ -189,9 +176,6 @@ type Result struct {
 	// breaker). The labels are identical by the conformance contract;
 	// degraded results are never cached under the requested engine's key.
 	Degraded bool `json:"degraded,omitempty"`
-	// Retries is the number of transient-failure retries behind this
-	// result.
-	Retries int `json:"retries,omitempty"`
 	// Wait is the queue latency (admission → worker pickup) of the run
 	// that produced this result; zero for cache hits.
 	Wait time.Duration `json:"wait_ns"`
@@ -251,8 +235,6 @@ type Service struct {
 	// when breakers are disabled. Immutable after New; the sequential
 	// engine deliberately has no entry.
 	breakers map[gcacc.Engine]*breaker
-	// jitterN orders the deterministic backoff-jitter draws.
-	jitterN atomic.Uint64
 
 	mu       sync.Mutex
 	cache    *lruCache // nil when caching is disabled; guarded by mu
@@ -262,6 +244,9 @@ type Service struct {
 	// testHookJobRunning, if set before the first Submit, is called by a
 	// worker after dequeue and before the engine runs. Test-only.
 	testHookJobRunning func(*job)
+	// testHookEngineRun, if set before the first Submit, is called with
+	// the engine about to run, after the breaker admitted it. Test-only.
+	testHookEngineRun func(gcacc.Engine)
 }
 
 // New starts the worker pool and returns the service.
@@ -283,12 +268,6 @@ func New(cfg Config) *Service {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = fault.RealClock()
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 50 * time.Millisecond
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 500 * time.Millisecond
@@ -531,15 +510,20 @@ func (s *Service) runJob(jb *job) {
 	close(jb.fl.done)
 }
 
-// executeJob runs one dequeued job through the resilience machinery:
-// overload degradation, the engine's circuit breaker, the engine run
-// itself, and bounded retry of transient failures. A panic anywhere in
-// the job (engine or test hook) is contained to ErrEnginePanic — the
-// worker goroutine survives.
+// executeJob runs one dequeued job once: overload degradation, the
+// engine's circuit breaker, and the engine run. An open breaker
+// reroutes the job to the sequential engine, which has no breaker and is
+// never fault-injected. A panic anywhere in the job (engine or test
+// hook) is contained to ErrEnginePanic — the worker goroutine survives —
+// and a panicking engine run counts against its breaker.
 func (s *Service) executeJob(jb *job, wait time.Duration) (res *Result, err error) {
+	var br *breaker // observes the engine run, once one is admitted
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("%w: %v", ErrEnginePanic, p)
+		}
+		if br != nil {
+			br.observe(err)
 		}
 	}()
 	if s.testHookJobRunning != nil {
@@ -555,56 +539,20 @@ func (s *Service) executeJob(jb *job, wait time.Duration) (res *Result, err erro
 		engine, degraded = gcacc.EngineSequential, true
 		s.metrics.degradedOverload.Inc()
 	}
-	inj := jb.req.Fault
-	if inj == nil {
-		inj = s.cfg.Fault
+	// br is nil for sequential or when breakers are off.
+	if br = s.breakers[engine]; br != nil && !br.allow() {
+		engine, degraded, br = gcacc.EngineSequential, true, nil
+		s.metrics.fallbackBreaker.Inc()
 	}
-	br := s.breakers[engine] // nil for sequential or when breakers are off
-
-	retries := 0
-	for attempt := 0; ; attempt++ {
-		runEngine, runDegraded, abr := engine, degraded, br
-		if abr != nil && !abr.allow() {
-			if !s.cfg.FallbackSequential {
-				return nil, fmt.Errorf("%w: engine %s", ErrBreakerOpen, engine)
-			}
-			runEngine, runDegraded, abr = gcacc.EngineSequential, true, nil
-			s.metrics.fallbackBreaker.Inc()
-		}
-		res, err := s.attempt(jb, runEngine, runDegraded, wait, retries, inj)
-		if err == nil {
-			if abr != nil {
-				abr.onSuccess()
-			}
-			return res, nil
-		}
-		if abr != nil && !isContextErr(err) {
-			abr.onFailure()
-		}
-		if !fault.IsTransient(err) || attempt >= s.cfg.RetryMax {
-			return nil, err
-		}
-		retries++
-		s.metrics.retries.Inc()
-		if serr := s.clock.Sleep(jb.ctx, s.backoff(attempt)); serr != nil {
-			return nil, serr
-		}
-	}
-}
-
-// attempt runs the job once on the given engine. The sequential engine
-// is never fault-injected — it is the safety net every fallback lands
-// on. A panicking engine is contained here so the breaker sees it as
-// one failed attempt.
-func (s *Service) attempt(jb *job, engine gcacc.Engine, degraded bool, wait time.Duration, retries int, inj *fault.Injector) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("%w: engine %s: %v", ErrEnginePanic, engine, p)
-		}
-	}()
 	opts := gcacc.Options{Engine: engine, Workers: s.simPerJob}
 	if engine != gcacc.EngineSequential {
-		opts.Fault = inj
+		opts.Fault = jb.req.Fault
+		if opts.Fault == nil {
+			opts.Fault = s.cfg.Fault
+		}
+	}
+	if s.testHookEngineRun != nil {
+		s.testHookEngineRun(engine)
 	}
 	start := s.clock.Now()
 	rep, err := gcacc.ConnectedComponentsSparse(jb.ctx, jb.req.Sparse, opts)
@@ -621,28 +569,9 @@ func (s *Service) attempt(jb *job, engine gcacc.Engine, degraded bool, wait time
 		Generations: rep.Generations,
 		PRAMSteps:   rep.PRAMSteps,
 		Degraded:    degraded,
-		Retries:     retries,
 		Wait:        wait,
 		Run:         run,
 	}, nil
-}
-
-// jitterSite salts the backoff-jitter decision stream so it cannot
-// collide with the injector's own sites for the same seed.
-const jitterSite = 0x3b7d
-
-// backoff returns the delay before retry attempt+1: RetryBase doubled
-// per attempt, capped at RetryCap, scaled by a deterministic jitter in
-// [0.5, 1.0) so coinciding retries decorrelate without a locked rand.
-func (s *Service) backoff(attempt int) time.Duration {
-	d := s.cfg.RetryCap
-	if attempt < 30 {
-		if exp := s.cfg.RetryBase << uint(attempt); exp < d {
-			d = exp
-		}
-	}
-	j := fault.Uniform01(uint64(s.cfg.Seed)^jitterSite, s.jitterN.Add(1))
-	return time.Duration(float64(d) * (0.5 + 0.5*j))
 }
 
 // CacheLookup probes the result cache for the (fingerprint, engine) key
@@ -722,7 +651,6 @@ func (s *Service) Stats() Stats {
 		Completed:        m.completed.Value(),
 		Failed:           m.failed.Value(),
 		Canceled:         m.canceled.Value(),
-		Retries:          m.retries.Value(),
 		BreakerTrips:     breakerTrips,
 		BreakerOpen:      breakerOpen,
 		FallbackBreaker:  m.fallbackBreaker.Value(),

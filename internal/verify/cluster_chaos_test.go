@@ -58,19 +58,14 @@ func TestClusterChaosSoak(t *testing.T) {
 		PeerStall:  200 * time.Microsecond,
 	})
 	top, err := cluster.NewInProcessTopology(replicas, service.Config{
-		Workers:            2,
-		QueueDepth:         32,
-		CacheEntries:       32,
-		DefaultTimeout:     2 * time.Second,
-		MaxVertices:        2*corpusN + 8,
-		Fault:              svcFaults,
-		Seed:               seed,
-		RetryMax:           3,
-		RetryBase:          200 * time.Microsecond,
-		RetryCap:           2 * time.Millisecond,
-		BreakerThreshold:   3,
-		BreakerCooldown:    2 * time.Millisecond,
-		FallbackSequential: true,
+		Workers:          2,
+		QueueDepth:       32,
+		CacheEntries:     32,
+		DefaultTimeout:   2 * time.Second,
+		MaxVertices:      2*corpusN + 8,
+		Fault:            svcFaults,
+		BreakerThreshold: 3,
+		BreakerCooldown:  2 * time.Millisecond,
 	}, cluster.Config{
 		Mode:       cluster.ModeProxy,
 		PeerBudget: 50 * time.Millisecond,

@@ -56,12 +56,12 @@ type Options struct {
 	Service bool
 	// FaultSpec, if non-empty, adds a "service-faulty" path: a second
 	// service instance injecting the parsed fault schedule
-	// (fault.ParseSpec vocabulary) with retry, breaker and sequential
+	// (fault.ParseSpec vocabulary) with the breaker and its sequential
 	// fallback enabled. Requests on this path may legitimately error —
 	// those are counted, not failed — but every result that does come
 	// back must still equal the union-find ground truth: faults may
-	// surface as errors, retries or documented fallbacks, never as a
-	// silently wrong answer.
+	// surface as errors or documented fallbacks, never as a silently
+	// wrong answer.
 	FaultSpec string
 	// Metamorphic enables the metamorphic invariant checks (four extra
 	// engine runs per engine and case).
@@ -83,8 +83,8 @@ type runner struct {
 	workers int
 	// faulty marks the fault-injected service path: engine errors are
 	// tolerated (and counted), and run-cost oracles that assume a clean
-	// run of the requested engine are skipped — a result may come from a
-	// retry or the sequential fallback. Label agreement is never waived.
+	// run of the requested engine are skipped — a result may come from
+	// the sequential fallback. Label agreement is never waived.
 	faulty bool
 }
 
@@ -151,21 +151,16 @@ func Run(opt Options) (*Report, error) {
 		}
 		rep.FaultSpec = cfg.String()
 		// The chaos path: same corpus, but every engine run is subjected
-		// to the fault schedule with the full resilience stack in front of
-		// it. Short backoffs and cooldowns keep the tier fast.
+		// to the fault schedule with the breaker and its sequential
+		// fallback in front of it. A short cooldown keeps the tier fast.
 		faultySvc := service.New(service.Config{
-			Workers:            2,
-			QueueDepth:         64,
-			SimWorkers:         opt.Workers,
-			MaxVertices:        2*opt.N + 8,
-			Fault:              fault.New(cfg),
-			Seed:               cfg.Seed,
-			RetryMax:           3,
-			RetryBase:          200 * time.Microsecond,
-			RetryCap:           2 * time.Millisecond,
-			BreakerThreshold:   3,
-			BreakerCooldown:    2 * time.Millisecond,
-			FallbackSequential: true,
+			Workers:          2,
+			QueueDepth:       64,
+			SimWorkers:       opt.Workers,
+			MaxVertices:      2*opt.N + 8,
+			Fault:            fault.New(cfg),
+			BreakerThreshold: 3,
+			BreakerCooldown:  2 * time.Millisecond,
 		})
 		defer faultySvc.Close()
 		for _, e := range engines {
