@@ -101,11 +101,16 @@ bench:
 # Append a labelled trajectory point (ns/op, B/op, custom metrics) to the
 # checked-in BENCH_<stamp>.json so wall-clock history stays comparable
 # across PRs. Override LABEL to name the point and BENCHFILE to target an
-# existing trajectory. See EXPERIMENTS.md "Wall-clock trajectory".
+# existing trajectory, and BENCH (a -bench pattern) and PKG to measure a
+# subset, e.g.
+#   make bench-json BENCH='Figure2GCAProgram|EngineWorkers' PKG=. LABEL=x
+# See EXPERIMENTS.md "Wall-clock trajectory".
 LABEL ?= local
 BENCHFILE ?= BENCH_$(shell date +%Y%m%d).json
+BENCH ?= .
+PKG ?= ./...
 bench-json:
-	$(GO) test -run='^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/gca-benchjson -label $(LABEL) -out $(BENCHFILE)
+	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem $(PKG) | $(GO) run ./cmd/gca-benchjson -label $(LABEL) -out $(BENCHFILE)
 
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or crash without paying for a full measurement run (CI gate).

@@ -257,7 +257,10 @@ func BenchmarkGCAvsBaselines(b *testing.B) {
 // must stay level as workers grow, not climb.
 //
 // The n=128/m=256/workers=1 case is the shape the serving benchmark's
-// oneshot-gca workload sends: a sparse random graph on one worker.
+// oneshot-gca workload sends: a sparse random graph on one worker. The
+// n=512/m=1024/workers=1 case is the shape cluster-hot preloads before
+// it times anything: 32 such graphs through the GCA engine, so its
+// setup_s moves with this point.
 func BenchmarkEngineWorkers(b *testing.B) {
 	run := func(name string, g *graph.Graph, w int) {
 		b.Run(name, func(b *testing.B) {
@@ -270,6 +273,7 @@ func BenchmarkEngineWorkers(b *testing.B) {
 		})
 	}
 	run("n=128/m=256/workers=1", benchSparseGraph(128, 256), 1)
+	run("n=512/m=1024/workers=1", benchSparseGraph(512, 1024), 1)
 	for _, n := range []int{128, 1024} {
 		g := benchGraph(n)
 		for _, w := range []int{1, 2, 4, 8} {

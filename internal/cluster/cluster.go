@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -298,13 +299,19 @@ func (n *Node) remoteSubmit(ctx context.Context, owner int, fp [32]byte, req ser
 	out := &Result{Owner: owner, Served: n.cfg.Self}
 	switch n.cfg.Mode {
 	case ModeProxy:
-		res, err := n.peerCompute(ctx, owner, req)
+		res, answered, err := n.peerCompute(ctx, owner, req)
 		if err == nil {
 			out.Result, out.Served, out.Proxied = res, owner, true
 			return out, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
+		}
+		if answered {
+			// The owner's service refused or failed the request itself
+			// (429, 422, 400, an engine failure): a local rerun would
+			// repeat a deterministic failure and bypass its admission.
+			return nil, err
 		}
 		n.metrics.fallbackLocal.Inc()
 		res, err = n.svc.Submit(ctx, req)
@@ -359,25 +366,29 @@ func (n *Node) beforePeerCall(ctx context.Context) error {
 }
 
 // peerCompute proxies one request to a member under the peer budget.
-func (n *Node) peerCompute(ctx context.Context, member int, req service.Request) (*service.Result, error) {
+// On error, answered reports whether the member's service gave the
+// error as its verdict. It did not when the call never reached it (no
+// peer wired, an injected peer fault), when the member was unreachable
+// or down (503), or when the peer budget ran out first.
+func (n *Node) peerCompute(ctx context.Context, member int, req service.Request) (res *service.Result, answered bool, err error) {
 	p := n.peer(member)
 	if p == nil {
 		n.metrics.peerCalls.Inc()
 		n.metrics.peerErrors.Inc()
-		return nil, fmt.Errorf("%w: member %d has no wired peer", ErrPeerDown, member)
+		return nil, false, fmt.Errorf("%w: member %d has no wired peer", ErrPeerDown, member)
 	}
 	if err := n.beforePeerCall(ctx); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	pctx, cancel := context.WithTimeout(ctx, n.cfg.PeerBudget)
 	defer cancel()
-	res, err := p.Compute(pctx, req)
+	res, err = p.Compute(pctx, req)
 	if err != nil {
 		n.metrics.peerErrors.Inc()
-		return nil, err
+		return nil, StatusOf(err) != http.StatusServiceUnavailable && pctx.Err() == nil, err
 	}
 	n.metrics.proxied.Inc()
-	return res, nil
+	return res, true, nil
 }
 
 // peerCacheGet probes a member's cache under the peer budget.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gcacc"
+	"gcacc/internal/fault"
 	"gcacc/internal/graph"
 	"gcacc/internal/service"
 	"gcacc/internal/sparse"
@@ -191,6 +192,55 @@ func TestProxyFallbackWhenPeerStopped(t *testing.T) {
 	}
 	if !res.Proxied {
 		t.Fatalf("after restart: provenance = %+v, want proxied", res)
+	}
+}
+
+// TestProxyReturnsOwnerRefusal pins that proxy mode falls back only
+// when the owner gave no verdict. A request the owner's service refuses
+// or fails itself reaches the caller with the owner's status, and the
+// entry node neither counts a fallback nor runs an engine: a local rerun
+// would repeat a deterministic failure and bypass the owner's admission.
+func TestProxyReturnsOwnerRefusal(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		req    func(t *testing.T, top *Topology) service.Request
+		status int
+	}{
+		{"invalid engine", func(t *testing.T, top *Topology) service.Request {
+			return service.Request{Graph: graphOwnedBy(t, top, 1), Engine: gcacc.Engine(99)}
+		}, http.StatusBadRequest},
+		{"dense-only engine", func(t *testing.T, top *Topology) service.Request {
+			for n := gcacc.DenseCutoff + 1; n < gcacc.DenseCutoff+2000; n++ {
+				if g := sparse.New(n); top.Nodes[0].Owner(g.Fingerprint()) == 1 {
+					return service.Request{Sparse: g, Engine: gcacc.EngineGCA}
+				}
+			}
+			t.Fatal("no edgeless graph above the dense cutoff owned by member 1")
+			return service.Request{}
+		}, http.StatusUnprocessableEntity},
+		{"engine failure", func(t *testing.T, top *Topology) service.Request {
+			return service.Request{
+				Graph: graphOwnedBy(t, top, 1),
+				Fault: fault.New(fault.Config{Seed: 1, StepErrorP: 1}),
+			}
+		}, http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			top := testTopology(t, 2, ModeProxy)
+			_, err := top.Nodes[0].Submit(context.Background(), tc.req(t, top))
+			if err == nil || StatusOf(err) != tc.status {
+				t.Fatalf("Submit via non-owner: err = %v (status %d), want status %d", err, StatusOf(err), tc.status)
+			}
+			if s := top.Nodes[0].Stats(); s.FallbackLocal != 0 || s.PeerCalls != 1 {
+				t.Fatalf("entry node: fallback_local = %d, peer_calls = %d; want 0 and 1", s.FallbackLocal, s.PeerCalls)
+			}
+			if s := top.Nodes[0].Service().Stats(); s.Submitted != 0 {
+				t.Fatalf("entry node's service saw %d submissions, want 0", s.Submitted)
+			}
+			if s := top.Nodes[1].Service().Stats(); s.Submitted != 1 {
+				t.Fatalf("owner's service saw %d submissions, want 1", s.Submitted)
+			}
+		})
 	}
 }
 

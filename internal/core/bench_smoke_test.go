@@ -3,9 +3,9 @@ package core_test
 // Environment-gated performance smoke gates, run by `make bench-smoke`
 // (and its CI job) with GCACC_BENCH_SMOKE=1. Unlike the measurement
 // benchmarks these are pass/fail: they catch the regressions the
-// active-region scheduling and fused-reduce work exist to prevent — the
-// kernel fast path falling behind the generic per-cell path, a default
-// run no longer fusing its reduce generations, and worker fan-out making
+// active-region scheduling and chained-generation work exist to prevent —
+// the kernel fast path falling behind the generic per-cell path, a
+// default run no longer chaining its generations, and worker fan-out making
 // the engine slower instead of flat-or-faster — plus a generous
 // wall-clock ceiling on the n=1024 point so a superlinear blow-up fails
 // the build rather than merely slowing it.
@@ -84,10 +84,10 @@ func TestBenchSmokeFastPathBeatsGeneric(t *testing.T) {
 }
 
 // TestBenchSmokeFusedBeatsStepped fails the build if a default run stops
-// taking the one-pass reduce path: core.Run with nothing observing must
+// taking the chained path: core.Run with nothing observing must
 // beat the same run with a no-op observer, which steps every
-// sub-generation. A default observer or hook that silently turned fusion
-// off would make the two runs cost the same.
+// sub-generation. A default observer or hook that silently turned
+// chaining off would make the two runs cost the same.
 func TestBenchSmokeFusedBeatsStepped(t *testing.T) {
 	benchSmokeEnabled(t)
 	const n = 256
@@ -103,7 +103,7 @@ func TestBenchSmokeFusedBeatsStepped(t *testing.T) {
 	stepped := medianRunTime(t, 3, run(core.Options{Workers: 1, Observer: noop}))
 	t.Logf("n=%d: fused %v, stepped %v", n, fused, stepped)
 	if fused >= stepped {
-		t.Fatalf("default run (%v) is not faster than the sub-generation-stepped run (%v): the fused reduce path is off", fused, stepped)
+		t.Fatalf("default run (%v) is not faster than the sub-generation-stepped run (%v): the chained path is off", fused, stepped)
 	}
 }
 

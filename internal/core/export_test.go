@@ -18,9 +18,17 @@ func NewProgramFieldForTest(g *graph.Graph) *gca.Field {
 	return newProgramField(g, Layout{N: g.N()})
 }
 
-// FuseReduces is the schedule rewrite Run applies when nothing observes
-// sub-generations: each reduce generation becomes one fused context.
-var FuseReduces = fuseReduces
+// NewChainRule returns the rule an unobserved run steps: the Figure-2
+// rule plus the chain kernels and their column-0 prologue.
+func NewChainRule(n int) gca.Rule { return newChainRule(Layout{N: n}) }
 
-// IsFusedReduce reports whether ctx commits a whole reduce generation.
-var IsFusedReduce = isFusedReduce
+// ChainSchedule is the schedule rewrite Run applies when nothing
+// observes sub-generations: each broadcast–mask–reduce chain becomes one
+// chain context.
+var ChainSchedule = chainSchedule
+
+// IsChain reports whether ctx commits a whole chain.
+var IsChain = isChain
+
+// ChainGenerations is the number of stepped contexts one chain covers.
+var ChainGenerations = chainGenerations

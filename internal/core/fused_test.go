@@ -13,8 +13,8 @@ import (
 )
 
 // fusedCorpus returns every conformance corpus graph at the sizes the
-// fused-reduce battery covers, plus small hand-picked graphs for n < 4,
-// which the corpus clamps up to 4.
+// chain battery covers, plus small hand-picked graphs for n < 4, which
+// the corpus clamps up to 4.
 func fusedCorpus() []verify.Case {
 	var cases []verify.Case
 	for _, n := range []int{1, 2, 3} {
@@ -28,15 +28,15 @@ func fusedCorpus() []verify.Case {
 	return cases
 }
 
-// TestFusedReduceMatchesStepped steps two kernel-path machines side by
-// side: one through the paper's schedule, one through the fused schedule
-// Run uses when nothing observes sub-generations. After every fused step
-// the whole field, bottom row included, must equal the stepped field
-// after the reduce generation's last sub-generation; every other step
-// must agree too. A fused step's reads are the sum of its
-// sub-generations' reads, and its active count is the number of cells
-// the whole generation changed. Worker counts 2 and 4 shard the larger
-// fields mid-row, which exercises the kernel's row-tail read.
+// TestFusedReduceMatchesStepped is the chain battery. It steps two
+// kernel-path machines side by side: one through the paper's schedule,
+// one through the chained schedule Run uses when nothing observes
+// sub-generations. After every chain step the whole field, bottom row
+// included, must equal the stepped field after the chain's last reduce
+// sub-generation; every other step must agree too, in field and in
+// counts. A chain step reports no active cells and no reads. Worker
+// counts 2 and 4 shard the larger fields mid-row, which exercises the
+// chain kernel's row-tail fold.
 func TestFusedReduceMatchesStepped(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -51,39 +51,37 @@ func checkFusedLockstep(t *testing.T, c verify.Case, workers int) {
 	t.Helper()
 	n := c.Graph.N()
 	sched := core.Schedule(n, 0)
-	fused := core.FuseReduces(core.Schedule(n, 0))
+	chained := core.ChainSchedule(core.Schedule(n, 0))
 	stepField := core.NewProgramFieldForTest(c.Graph)
-	fuseField := core.NewProgramFieldForTest(c.Graph)
+	chainField := core.NewProgramFieldForTest(c.Graph)
 	stepped := gca.NewMachine(stepField, core.NewProgramRule(n), gca.WithWorkers(workers))
-	fusing := gca.NewMachine(fuseField, core.NewProgramRule(n), gca.WithWorkers(workers))
+	chaining := gca.NewMachine(chainField, core.NewChainRule(n), gca.WithWorkers(workers))
 
-	var before, got, want []gca.Value
+	var got, want []gca.Value
 	j := 0
-	for _, ctx := range fused {
-		subs := 1
-		if core.IsFusedReduce(ctx) {
-			subs = core.SubGenerations(n)
+	for _, ctx := range chained {
+		covered := 1
+		if core.IsChain(ctx) {
+			covered = core.ChainGenerations(n)
 		}
 		wantActive, wantReads := 0, 0
-		before = stepField.Snapshot(before[:0])
-		for k := 0; k < subs; k++ {
+		for k := 0; k < covered; k++ {
 			sc := sched[j]
 			j++
-			if sc.Generation != ctx.Generation || sc.Iteration != ctx.Iteration {
-				t.Fatalf("%s: fused context %+v does not cover stepped context %+v", c.Name, ctx, sc)
+			if sc.Iteration != ctx.Iteration || sc.Generation != ctx.Generation+min(k, 2) {
+				t.Fatalf("%s: chained context %+v does not cover stepped context %+v", c.Name, ctx, sc)
 			}
 			s, err := stepped.Step(sc)
 			if err != nil {
 				t.Fatalf("%s: stepped %+v: %v", c.Name, sc, err)
 			}
-			wantActive += s.Active
-			wantReads += s.TotalReads
+			wantActive, wantReads = s.Active, s.TotalReads
 		}
-		s, err := fusing.Step(ctx)
+		s, err := chaining.Step(ctx)
 		if err != nil {
-			t.Fatalf("%s: fused %+v: %v", c.Name, ctx, err)
+			t.Fatalf("%s: chained %+v: %v", c.Name, ctx, err)
 		}
-		got = fuseField.Snapshot(got[:0])
+		got = chainField.Snapshot(got[:0])
 		want = stepField.Snapshot(want[:0])
 		for i := range want {
 			if got[i] != want[i] {
@@ -91,13 +89,8 @@ func checkFusedLockstep(t *testing.T, c verify.Case, workers int) {
 					c.Name, workers, ctx, i, i/n, i%n, got[i], want[i])
 			}
 		}
-		if subs > 1 {
-			wantActive = 0
-			for i := range want {
-				if before[i] != want[i] {
-					wantActive++
-				}
-			}
+		if covered > 1 {
+			wantActive, wantReads = 0, 0
 		}
 		if s.Active != wantActive || s.TotalReads != wantReads {
 			t.Fatalf("%s (workers=%d): after %+v: active=%d reads=%d, want active=%d reads=%d",
@@ -105,12 +98,12 @@ func checkFusedLockstep(t *testing.T, c verify.Case, workers int) {
 		}
 	}
 	if j != len(sched) {
-		t.Fatalf("%s: fused schedule covers %d of %d stepped contexts", c.Name, j, len(sched))
+		t.Fatalf("%s: chained schedule covers %d of %d stepped contexts", c.Name, j, len(sched))
 	}
 }
 
 // TestFusedRunMatchesObservedRun pins core.Run's two paths to each
-// other: a default run fuses the reduce generations, a run with a no-op
+// other: a default run commits each chain in one step, a run with a no-op
 // observer steps every sub-generation, and both must return the same
 // labels and the same generation count.
 func TestFusedRunMatchesObservedRun(t *testing.T) {
@@ -213,8 +206,8 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestCancelChecksEveryCommittedStep pins cancellation on both paths: a
-// run consults its context once per committed step — every fused step on
-// the fused path, every sub-generation on the observed one — and a
+// run consults its context once per committed step — every step of the
+// chained schedule, every sub-generation on the observed path — and a
 // context cancelled mid-run aborts the run with the context's error.
 func TestCancelChecksEveryCommittedStep(t *testing.T) {
 	const n = 16
@@ -225,7 +218,7 @@ func TestCancelChecksEveryCommittedStep(t *testing.T) {
 		opt   core.Options
 		steps int
 	}{
-		{"fused", core.Options{}, len(core.FuseReduces(core.Schedule(n, 0)))},
+		{"chained", core.Options{}, len(core.ChainSchedule(core.Schedule(n, 0)))},
 		{"observed", core.Options{Observer: noop}, core.TotalGenerations(n)},
 	} {
 		whole := &countdownCtx{Context: context.Background(), left: 1 << 30}

@@ -31,8 +31,8 @@ import (
 // plan_lockstep_test.go pin kernels + plans bit-identical — field
 // contents, active counts and read counts — to the generic path for
 // every committed sub-generation at several worker counts, and
-// fused_test.go pins the one-pass reduce (kernelSuffixMin) to the field
-// the stepped sub-generations leave.
+// fused_test.go pins each chain step (chainRule) to the field the
+// stepped generations leave.
 
 var _ gca.KernelPlanner = rule{}
 
@@ -43,9 +43,6 @@ var _ gca.KernelPlanner = rule{}
 // KernelFor paid (visible as alloc growth in the bench trajectory).
 type kernelTable struct {
 	byGen [][]gca.Kernel
-	// suffixMin is the one-pass form of a whole reduce generation (3 or
-	// 7): the row suffix-min its ⌈log n⌉ sub-generations leave behind.
-	suffixMin gca.Kernel
 }
 
 // kernelCache maps field size n to its *kernelTable.
@@ -73,7 +70,6 @@ func buildKernelTable(n int) *kernelTable {
 	}
 	t.byGen[GenReduceT] = reduce
 	t.byGen[GenReduceT2] = reduce
-	t.suffixMin = kernelSuffixMin(n)
 	t.byGen[GenDefaultT] = one(kernelDefaultT(n))
 	t.byGen[GenDefaultT2] = t.byGen[GenDefaultT]
 	t.byGen[GenMaskComp] = one(kernelMaskComp(n))
@@ -95,9 +91,6 @@ func (r rule) KernelFor(ctx gca.Context) gca.Kernel {
 	if ctx.Generation < 0 || ctx.Generation >= len(t.byGen) {
 		return nil
 	}
-	if isFusedReduce(ctx) {
-		return t.suffixMin
-	}
 	ks := t.byGen[ctx.Generation]
 	if ctx.Sub < 0 || ctx.Sub >= len(ks) {
 		return nil
@@ -113,7 +106,8 @@ func (r rule) KernelFor(ctx gca.Context) gca.Kernel {
 //	init/copyC/copyT   all n+1 rows            (copyT's bottom row reads and discards)
 //	maskAdj/maskComp   the n square rows
 //	reduce sub s       columns [0, n−2ˢ) of the square rows
-//	reduce, fused      the n square rows (subFused: all sub-generations)
+//	chain 1 (subChain) all n+1 rows            (generations 1–3; D_N ← C)
+//	chain 2 (subChain) the n square rows       (generations 5–7)
 //	defaultT/shortcut/finalMin
 //	                   column 0 of the square rows (n cells — span mode)
 //	spread             columns [1, n) of the square rows
@@ -125,13 +119,13 @@ func (r rule) PlanFor(ctx gca.Context) gca.Plan {
 	n := r.lay.N
 	switch ctx.Generation {
 	case GenInit, GenCopyC, GenCopyT:
+		if ctx.Generation == GenCopyT && isChain(ctx) {
+			return gca.Plan{Lo: 0, SegLen: n, Stride: n, Count: n} // chain 2 keeps D_N
+		}
 		return gca.Plan{Lo: 0, SegLen: n, Stride: n, Count: n + 1}
 	case GenMaskAdj, GenMaskComp:
 		return gca.Plan{Lo: 0, SegLen: n, Stride: n, Count: n}
 	case GenReduceT, GenReduceT2:
-		if ctx.Sub == subFused {
-			return gca.Plan{Lo: 0, SegLen: n, Stride: n, Count: n}
-		}
 		seg := n - 1<<uint(ctx.Sub)
 		if seg < 0 {
 			seg = 0
@@ -244,42 +238,6 @@ func kernelReduce(step int) gca.Kernel {
 			}
 		}
 		return active, hi - lo, nil
-	}
-}
-
-// kernelSuffixMin is a whole reduce generation (3 or 7) in one pass.
-// Sub-generation s sets X[c] ← min(X[c], X[c+2ˢ]) where c+2ˢ < n, so
-// after k of them X[c] = min(row[c .. min(c+2ᵏ, n)−1]); with
-// 2^⌈log n⌉ ≥ n the ⌈log n⌉ sub-generations leave every square row
-// holding its suffix minimum, which this kernel writes directly with one
-// backward sweep. A shard may end the run mid-row, so the row's tail
-// cur[hi:rowEnd] seeds the running minimum. Active counts the cells that
-// differ from the previous generation; reads is the sum of the global
-// reads the stepped sub-generations would perform on [lo, hi).
-func kernelSuffixMin(n int) gca.Kernel {
-	logn := Log2Ceil(n)
-	return func(lo, hi int, cur, next, _ []gca.Value) (int, int, error) {
-		rowLo := lo / n * n
-		m := gca.Inf
-		for _, v := range cur[hi : rowLo+n] {
-			m = min(m, v)
-		}
-		dst, src := next[lo:hi], cur[lo:hi]
-		src = src[:len(dst)]
-		active := 0
-		for i := len(dst) - 1; i >= 0; i-- {
-			d := src[i]
-			m = min(m, d)
-			dst[i] = m
-			if m != d {
-				active++
-			}
-		}
-		reads := 0
-		for s := 0; s < logn; s++ {
-			reads += max(0, min(hi, rowLo+n-1<<uint(s))-lo)
-		}
-		return active, reads, nil
 	}
 }
 

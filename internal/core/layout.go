@@ -81,9 +81,11 @@ func TotalGenerations(n int) int {
 // Schedule enumerates the control sequence of a full run for n nodes:
 // generation 0 once (iteration -1), then iterations passes over
 // generations 1–11 with ⌈log₂ n⌉ sub-generations for the reductions and
-// the shortcut. iterations ≤ 0 selects the paper's ⌈log₂ n⌉. Run executes
-// exactly this sequence, so the slice doubles as the sequencing oracle of
-// the conformance harness: len(Schedule(n, 0)) == TotalGenerations(n).
+// the shortcut. iterations ≤ 0 selects the paper's ⌈log₂ n⌉. Run steps
+// exactly this sequence whenever anything observes its steps (otherwise
+// it commits each broadcast–mask–reduce chain of it in one step), so the
+// slice doubles as the sequencing oracle of the conformance harness:
+// len(Schedule(n, 0)) == TotalGenerations(n).
 func Schedule(n, iterations int) []gca.Context {
 	if n < 1 {
 		return nil

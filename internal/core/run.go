@@ -11,8 +11,8 @@ import (
 
 // Options configures a run of the GCA program. Setting any of
 // CollectStats, CapturePointers, Observer or Hooks makes the run commit
-// every sub-generation as its own step; without them the reduce
-// generations are committed in one pass each (see Run).
+// every sub-generation as its own step; without them each
+// broadcast–mask–reduce chain is committed in one step (see Run).
 type Options struct {
 	// Ctx, if non-nil, is checked between committed generations: a
 	// cancelled or expired context aborts the run with the context's
@@ -40,28 +40,33 @@ type Options struct {
 	Iterations int
 }
 
-// subFused is the Sub of a reduce context (generation 3 or 7) that
-// commits the whole generation — all ⌈log n⌉ sub-generations — as one
+// subChain is the Sub of a chain context: generation 1 or 5 with this
+// Sub commits that generation and the two after it — the broadcast, the
+// mask and all ⌈log n⌉ sub-generations of the min-reduce — as one
 // machine step. Run issues it only when nothing observes sub-generations;
-// the generic per-cell path has no counterpart, so the kernel path (which
-// such a run always takes) is the only one that evaluates it.
-const subFused = -1
+// the generic per-cell path has no counterpart, so only a chainRule's
+// kernel (which such a run always takes) evaluates it.
+const subChain = -1
 
-func isReduce(gen int) bool { return gen == GenReduceT || gen == GenReduceT2 }
+func isChain(ctx gca.Context) bool {
+	return (ctx.Generation == GenCopyC || ctx.Generation == GenCopyT) && ctx.Sub == subChain
+}
 
-func isFusedReduce(ctx gca.Context) bool { return isReduce(ctx.Generation) && ctx.Sub == subFused }
+// chainGenerations is the number of the paper's synchronous steps one
+// chain commits: the broadcast, the mask and the reduce's sub-generations.
+func chainGenerations(n int) int { return 2 + SubGenerations(n) }
 
-// fuseReduces collapses the sub-generations of every reduce generation
-// in sched into one subFused context, in place, and returns the shortened
+// chainSchedule collapses generations 1–3 and 5–7 of every iteration in
+// sched into one chain context each, in place, and returns the shortened
 // schedule.
-func fuseReduces(sched []gca.Context) []gca.Context {
+func chainSchedule(sched []gca.Context) []gca.Context {
 	out := sched[:0]
 	for _, ctx := range sched {
-		if isReduce(ctx.Generation) {
-			if ctx.Sub != 0 {
-				continue
-			}
-			ctx.Sub = subFused
+		switch ctx.Generation {
+		case GenMaskAdj, GenReduceT, GenMaskComp, GenReduceT2:
+			continue
+		case GenCopyC, GenCopyT:
+			ctx.Sub = subChain
 		}
 		out = append(out, ctx)
 	}
@@ -91,7 +96,7 @@ type Result struct {
 	Iterations int
 	// Generations is the number of synchronous steps of the paper's
 	// schedule the run executed, counting every sub-generation, also
-	// when a reduce generation was committed in one pass (equals
+	// when a chain of generations was committed in one step (equals
 	// TotalGenerations(n) when Options.Iterations was 0).
 	Generations int
 	// Records holds one entry per committed step when CollectStats was
@@ -113,7 +118,8 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 	lay := Layout{N: n}
 	field := newProgramField(g, lay)
 
-	var mopts []gca.Option
+	// Five options at most, so the slice stays on the stack.
+	mopts := make([]gca.Option, 0, 5)
 	mopts = append(mopts, gca.WithWorkers(opt.Workers))
 	if opt.CollectStats {
 		mopts = append(mopts, gca.WithCongestion())
@@ -127,7 +133,6 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 	if opt.Hooks.BeforeStep != nil || opt.Hooks.WorkerStall != nil {
 		mopts = append(mopts, gca.WithStepHooks(opt.Hooks))
 	}
-	machine := gca.NewMachine(field, rule{lay: lay}, mopts...)
 
 	iters := opt.Iterations
 	if iters <= 0 {
@@ -138,6 +143,19 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 	// passes over generations 1–11. Schedule is the single source of
 	// truth for the sequencing, shared with the conformance harness.
 	sched := Schedule(n, iters)
+
+	// Nothing between the generations of a broadcast–mask–reduce chain
+	// is observable without stats, pointer capture, an observer or
+	// hooks, so such a run commits each chain as one step that sweeps
+	// every row once (chainRule) and leaves the field the stepped chain
+	// leaves.
+	var r gca.Rule = rule{lay: lay}
+	if !opt.CollectStats && !opt.CapturePointers && opt.Observer == nil &&
+		opt.Hooks.BeforeStep == nil && opt.Hooks.WorkerStall == nil {
+		r = newChainRule(lay)
+		sched = chainSchedule(sched)
+	}
+	machine := gca.NewMachine(field, r, mopts...)
 
 	res := &Result{N: n, Iterations: iters}
 	if opt.CollectStats {
@@ -160,8 +178,8 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 			return fmt.Errorf("core: iteration %d generation %d sub %d: %w",
 				ctx.Iteration, ctx.Generation, ctx.Sub, err)
 		}
-		if isFusedReduce(ctx) {
-			res.Generations += SubGenerations(n)
+		if isChain(ctx) {
+			res.Generations += chainGenerations(n)
 		} else {
 			res.Generations++
 		}
@@ -180,14 +198,6 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 		return nil
 	}
 
-	// Nothing between the sub-generations of a reduce generation is
-	// observable without stats, pointer capture, an observer or hooks,
-	// so such a run commits each reduce generation as one suffix-min
-	// step (kernelSuffixMin): the same field, in one row sweep.
-	if !opt.CollectStats && !opt.CapturePointers && opt.Observer == nil &&
-		opt.Hooks.BeforeStep == nil && opt.Hooks.WorkerStall == nil {
-		sched = fuseReduces(sched)
-	}
 	for _, ctx := range sched {
 		if err := step(ctx); err != nil {
 			return nil, err

@@ -333,3 +333,32 @@ func TestStepMapping(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllocations pins a default run's allocations at the serving
+// shape (n = 128, m = 256) and at the cluster-hot preload shape
+// (n = 512, m = 1024). A chained run gathers column 0 into one per-run
+// vector, so the count is flat in the number of steps; a gather or a
+// kernel closure made per step would add one allocation for every
+// committed step (over 60 at n = 128).
+func TestRunAllocations(t *testing.T) {
+	for _, tc := range []struct{ n, m, max int }{
+		{128, 256, 14},
+		{512, 1024, 17},
+	} {
+		rng := rand.New(rand.NewSource(2007))
+		g := graph.New(tc.n)
+		for i := 0; i < tc.m; i++ {
+			if u, v := rng.Intn(tc.n), rng.Intn(tc.n); u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := Run(g, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(tc.max) {
+			t.Errorf("n=%d m=%d: a default run allocates %.0f times, want at most %d", tc.n, tc.m, allocs, tc.max)
+		}
+	}
+}

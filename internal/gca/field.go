@@ -32,10 +32,12 @@ func NewField(size int) *Field {
 	if size < 0 {
 		panic(fmt.Sprintf("gca: negative field size %d", size))
 	}
+	// The three planes share one allocation.
+	b := make([]Value, 3*size)
 	return &Field{
-		cur:  make([]Value, size),
-		next: make([]Value, size),
-		a:    make([]Value, size),
+		cur:  b[:size:size],
+		next: b[size : 2*size : 2*size],
+		a:    b[2*size:],
 	}
 }
 

@@ -17,7 +17,13 @@ package gca
 // generic path.
 //
 // Kernels are invoked concurrently on disjoint [lo, hi) shards by the
-// machine's worker pool; like rules they must be pure over their inputs.
+// machine's worker pool; like rules they must be pure over their inputs
+// and over the state a KernelPrologue filled before the step.
+//
+// A kernel that commits several of a program's generations in one step
+// (a chain: core.Run's unobserved fast path) has no per-generation
+// counts to match. It may report zero active cells and zero reads; only
+// a caller that never reads them may run it.
 type Kernel func(lo, hi int, cur, next, a []Value) (active, reads int, err error)
 
 // KernelRule is the optional fast-path contract of a rule: a rule that
@@ -34,4 +40,18 @@ type KernelRule interface {
 	// must depend only on ctx, never on field contents, so that every
 	// shard of a step takes the same path.
 	KernelFor(ctx Context) Kernel
+}
+
+// KernelPrologue is the optional per-step set-up of a KernelRule. On
+// every kernel-path step the machine calls Prologue once, on the
+// stepping goroutine, after KernelFor and before any shard starts, so a
+// rule can gather an operand its kernels read from every cell (say, a
+// column read with stride n) into a contiguous vector it owns. Prologue
+// may read cur, the committed generation, and may write only the rule's
+// own state, which the step's kernels then read concurrently. That state
+// belongs to one machine: a rule with a prologue must never be shared by
+// machines that step concurrently.
+type KernelPrologue interface {
+	KernelRule
+	Prologue(ctx Context, cur []Value)
 }

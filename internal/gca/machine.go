@@ -38,12 +38,16 @@ func (fn ObserverFunc) OnStep(f *Field, s *StepStats) { fn(f, s) }
 //     dispatch, no barrier, no full-field traffic. Chosen when the plan
 //     covers at most 1/8 of the field, which turns the paper's
 //     column-0-only generations from O(n²) steps into O(n) steps.
+//
+// When the rule is also a KernelPrologue, every kernel-path step calls
+// its Prologue once before either mode starts.
 type Machine struct {
 	field   *Field
 	rule    Rule
-	rule2   Rule2         // non-nil when rule is two-handed
-	kernels KernelRule    // non-nil when rule provides bulk kernels
-	planner KernelPlanner // non-nil when rule also declares active regions
+	rule2   Rule2          // non-nil when rule is two-handed
+	kernels KernelRule     // non-nil when rule provides bulk kernels
+	planner KernelPlanner  // non-nil when rule also declares active regions
+	prolog  KernelPrologue // non-nil when rule sets up its kernels per step
 	workers int
 
 	collectCongestion bool
@@ -147,6 +151,9 @@ func NewMachine(field *Field, rule Rule, opts ...Option) *Machine {
 	if kp, ok := rule.(KernelPlanner); ok {
 		m.planner = kp
 	}
+	if kp, ok := rule.(KernelPrologue); ok {
+		m.prolog = kp
+	}
 	for _, o := range opts {
 		o(m)
 	}
@@ -186,27 +193,25 @@ func NewMachine(field *Field, rule Rule, opts ...Option) *Machine {
 
 // planShards fixes the per-shard cell ranges. The field size never
 // changes, so the plan is computed once; fields below the sharding
-// threshold collapse to a single shard evaluated by the caller.
+// threshold collapse to a single shard evaluated by the caller. lo and
+// hi share one allocation.
 func (m *Machine) planShards() {
 	n := m.field.Len()
 	if m.workers == 1 || n < 2*minChunk {
-		m.lo, m.hi = []int{0}, []int{n}
+		b := []int{0, n}
+		m.lo, m.hi = b[:1:1], b[1:]
 		m.active = 1
 		return
 	}
 	chunk := (n + m.workers - 1) / m.workers
 	shards := (n + chunk - 1) / chunk
-	m.lo = make([]int, 0, shards)
-	m.hi = make([]int, 0, shards)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		m.lo = append(m.lo, lo)
-		m.hi = append(m.hi, hi)
+	b := make([]int, 2*shards)
+	m.lo, m.hi = b[:shards:shards], b[shards:]
+	for w := range m.lo {
+		m.lo[w] = w * chunk
+		m.hi[w] = min(m.lo[w]+chunk, n)
 	}
-	m.active = len(m.lo)
+	m.active = shards
 }
 
 // Field returns the machine's field.
@@ -253,6 +258,9 @@ func (m *Machine) Step(ctx Context) (*StepStats, error) {
 			if !p.Full(size) {
 				m.jobPlan = p
 			}
+		}
+		if m.jobKernel != nil && m.prolog != nil {
+			m.prolog.Prologue(ctx, m.field.cur)
 		}
 	}
 

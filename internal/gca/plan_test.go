@@ -172,3 +172,59 @@ func (errSpanRule) KernelFor(Context) Kernel {
 		return hi - lo, 0, nil
 	}
 }
+
+// TestPrologueRunsOncePerKernelStep pins the KernelPrologue contract:
+// the machine calls Prologue once per kernel-path step, before any shard
+// reads what it gathered, and never on the generic path.
+func TestPrologueRunsOncePerKernelStep(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		f := NewField(4 * minChunk)
+		f.SetData(0, 7)
+		r := &gatherRule{}
+		m := NewMachine(f, r, WithWorkers(workers))
+		for step := 1; step <= 3; step++ {
+			if _, err := m.Step(Context{}); err != nil {
+				t.Fatal(err)
+			}
+			if r.calls != step {
+				t.Fatalf("workers=%d: %d prologue calls after %d steps", workers, r.calls, step)
+			}
+			for i := 0; i < f.Len(); i++ {
+				if got := f.Data(i); got != Value(7+step) {
+					t.Fatalf("workers=%d step %d: cell %d is %d, want %d", workers, step, i, got, 7+step)
+				}
+			}
+		}
+	}
+
+	r := &gatherRule{}
+	m := NewMachine(NewField(64), r, WithCongestion())
+	if _, err := m.Step(Context{}); err != nil {
+		t.Fatal(err)
+	}
+	if r.calls != 0 {
+		t.Fatalf("generic-path step called the prologue %d times", r.calls)
+	}
+}
+
+// gatherRule's prologue gathers cell 0, and its kernel writes that value
+// plus one into every cell.
+type gatherRule struct {
+	first Value
+	calls int
+}
+
+func (*gatherRule) Pointer(Context, int, Cell) int           { return NoRead }
+func (*gatherRule) Update(_ Context, _ int, s, _ Cell) Value { return s.D }
+func (r *gatherRule) Prologue(_ Context, cur []Value) {
+	r.first = cur[0]
+	r.calls++
+}
+func (r *gatherRule) KernelFor(Context) Kernel {
+	return func(lo, hi int, _, next, _ []Value) (int, int, error) {
+		for i := lo; i < hi; i++ {
+			next[i] = r.first + 1
+		}
+		return hi - lo, 0, nil
+	}
+}

@@ -133,8 +133,9 @@ func TestCancelledContextAbortsMidRun(t *testing.T) {
 	}
 
 	// Big enough that the 12-generation program runs for tens of
-	// milliseconds — the cancel below lands mid-run.
-	g := graph.Gnp(256, 0.03, rand.New(rand.NewSource(3)))
+	// milliseconds, also on the chained path — the cancel below lands
+	// mid-run.
+	g := graph.Gnp(1024, 0.03, rand.New(rand.NewSource(3)))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errCh := make(chan error, 1)
