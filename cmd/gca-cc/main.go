@@ -18,9 +18,9 @@
 //
 // -stream replays a mutation trace (the "stream n" / "+ u v" / "- u v" /
 // "?" text format of internal/stream) through the incremental streaming
-// state: appends union in near-constant time, deletions force the next
-// query through a full recompute on -engine, and -recompute-period
-// schedules periodic full recomputes regardless.
+// state: appends union in near-constant time, deleting a spanning-forest
+// edge forces the next query through a full recompute on -engine, and
+// -recompute-period schedules periodic full recomputes regardless.
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress per-vertex output")
 		sparseIn = flag.Bool("sparse", false, "stream the edge list into the sparse representation (no n² cap; edges format only)")
 		streamIn = flag.Bool("stream", false, "replay a mutation trace (internal/stream text format) incrementally")
-		period   = flag.Int("recompute-period", 0, "with -stream: force a full recompute every N accepted batches (0 = only after deletions)")
+		period   = flag.Int("recompute-period", 0, "with -stream: force a full recompute every N accepted batches (0 = only when a deletion requires it)")
 	)
 	flag.Parse()
 
@@ -152,8 +152,9 @@ func runSparse(path, engine string, quiet bool) error {
 }
 
 // runStream replays a mutation trace through the incremental streaming
-// state: appends union in near-constant time, deletions dirty the graph
-// and the next query pays one full recompute on the chosen engine. One
+// state: appends union in near-constant time, deleting a spanning-forest
+// edge dirties the graph and the next query pays one full recompute on
+// the chosen engine. One
 // line per query shows the labelling evolve; the final summary counts
 // how often the incremental fast path sufficed.
 func runStream(path, engine string, period int, quiet bool) error {

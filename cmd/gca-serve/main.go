@@ -94,7 +94,7 @@ func main() {
 		streamEdges    = flag.Int("stream-max-edges", 0, "live-edge budget per streaming graph (0 = unbounded)")
 		streamBatch    = flag.Int("stream-max-batch", 65536, "largest accepted mutation batch")
 		streamEngine   = flag.String("stream-engine", "liutarjan", "recompute engine for streaming graphs")
-		streamPeriod   = flag.Int("stream-recompute-period", 0, "force a full recompute every N accepted batches (0 = only after deletions)")
+		streamPeriod   = flag.Int("stream-recompute-period", 0, "force a full recompute every N accepted batches (0 = only when a deletion requires it)")
 
 		peersCSV     = flag.String("peers", "", "comma-separated peer base URLs forming the static ring, index = member id (empty = standalone)")
 		selfIdx      = flag.Int("self", 0, "this replica's index in -peers")

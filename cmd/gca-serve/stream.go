@@ -13,7 +13,7 @@ import (
 // The named-graph streaming API: long-lived graphs that absorb edge
 // appends incrementally (union-find fast path) and answer component
 // queries without a from-scratch run, falling back to a full bounded
-// recompute after deletions.
+// recompute after a deletion that cuts the spanning forest.
 //
 //	PUT    /v1/graphs/{name}?n=1000        create a named graph
 //	GET    /v1/graphs/{name}               graph info (epoch, edges, counters)

@@ -94,6 +94,31 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 }
 
+// TestStreamDeleteChordStaysClean: retracting an edge that closed a
+// cycle leaves the spanning forest intact, so the graph stays clean and
+// the next query answers from union-find without a recompute.
+func TestStreamDeleteChordStaysClean(t *testing.T) {
+	mux := newStreamMux(t, stream.RegistryConfig{})
+	do(mux, http.MethodPut, "/v1/graphs/g?n=4", "")
+	do(mux, http.MethodPost, "/v1/graphs/g/edges", "0 1\n1 2\n2 3\n3 0\n")
+
+	w := do(mux, http.MethodDelete, "/v1/graphs/g/edges", "3 0\n")
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"dirty":false`) {
+		t.Fatalf("chord delete: status %d, body %q, want \"dirty\":false", w.Code, w.Body.String())
+	}
+	w = do(mux, http.MethodGet, "/v1/graphs/g/components", "")
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"recomputed":false`) {
+		t.Fatalf("query after chord delete: status %d, body %q, want \"recomputed\":false", w.Code, w.Body.String())
+	}
+	var snap stream.Snapshot
+	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Components != 1 || snap.Engine != "unionfind" {
+		t.Fatalf("query after chord delete: %+v, want 1 component from union-find", snap)
+	}
+}
+
 func TestStreamUnknownGraph404(t *testing.T) {
 	mux := newStreamMux(t, stream.RegistryConfig{})
 	for _, tc := range []struct{ method, target, body string }{
@@ -166,7 +191,7 @@ func TestStreamClientDisconnect499(t *testing.T) {
 		fmt.Fprintf(&body, "%d %d\n", v-1, v)
 	}
 	do(mux, http.MethodPost, "/v1/graphs/g/edges", body.String())
-	// A deletion dirties the graph, so the next query must recompute.
+	// A bridge deletion dirties the graph, so the next query must recompute.
 	do(mux, http.MethodDelete, "/v1/graphs/g/edges", "30 31\n")
 
 	ctx, cancel := context.WithCancel(context.Background())

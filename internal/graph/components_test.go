@@ -31,23 +31,32 @@ func TestUnionFindBasics(t *testing.T) {
 	}
 }
 
+// TestUnionFindPathCompression builds a path in both orders; the
+// descending one hangs every root under the next smaller vertex, the
+// deepest chain linking by minimum can build, and Find must still land
+// on vertex 0 from everywhere.
 func TestUnionFindPathCompression(t *testing.T) {
-	uf := NewUnionFind(100)
-	for i := 0; i+1 < 100; i++ {
-		uf.Union(i, i+1)
-	}
-	root := uf.Find(99)
-	for i := 0; i < 100; i++ {
-		if uf.Find(i) != root {
-			t.Fatalf("Find(%d) != root", i)
+	for _, descending := range []bool{false, true} {
+		uf := NewUnionFind(100)
+		for i := 0; i+1 < 100; i++ {
+			if descending {
+				uf.Union(98-i, 99-i)
+			} else {
+				uf.Union(i, i+1)
+			}
 		}
-	}
-	if uf.Sets() != 1 {
-		t.Fatalf("Sets = %d, want 1", uf.Sets())
+		for i := 99; i >= 0; i-- {
+			if uf.Find(i) != 0 {
+				t.Fatalf("descending=%v: Find(%d) = %d, want the minimum 0", descending, i, uf.Find(i))
+			}
+		}
+		if uf.Sets() != 1 {
+			t.Fatalf("descending=%v: Sets = %d, want 1", descending, uf.Sets())
+		}
 	}
 }
 
-// TestUnionFindLabels pins the per-root minimum: Labels answers in the
+// TestUnionFindLabels pins the minimum root: Labels answers in the
 // minimum-vertex convention straight from the forest.
 func TestUnionFindLabels(t *testing.T) {
 	u := NewUnionFind(6)
@@ -69,38 +78,25 @@ func TestUnionFindLabels(t *testing.T) {
 	}
 }
 
-func TestUnionFindResetToLabels(t *testing.T) {
+// TestUnionFindReset: a reset forest is n fresh singletons that unions
+// merge again, and the reset itself allocates nothing.
+func TestUnionFindReset(t *testing.T) {
 	u := NewUnionFind(5)
 	u.Union(0, 4)
 	u.Union(1, 3)
-	// Rebuild from a different labelling entirely: {0,1},{2,3,4}.
-	if err := u.ResetToLabels([]int{0, 0, 2, 2, 2}); err != nil {
-		t.Fatalf("ResetToLabels: %v", err)
+	u.Union(3, 4)
+	u.Reset()
+	if got := u.Labels(nil); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) || u.Sets() != 5 {
+		t.Fatalf("after reset: labels %v, sets %d", got, u.Sets())
 	}
-	if got := u.Labels(nil); !reflect.DeepEqual(got, []int{0, 0, 2, 2, 2}) {
-		t.Fatalf("labels after reset = %v", got)
+	if !u.Union(4, 2) || !u.Union(3, 4) || u.Union(2, 3) {
+		t.Fatal("unions on the reset forest reported the wrong merges")
 	}
-	if u.Sets() != 2 {
-		t.Fatalf("sets after reset = %d, want 2", u.Sets())
+	if got := u.Labels(nil); !reflect.DeepEqual(got, []int{0, 1, 2, 2, 2}) || u.Sets() != 3 {
+		t.Fatalf("after post-reset unions: labels %v, sets %d", got, u.Sets())
 	}
-	// Further unions keep working on the rebuilt forest.
-	u.Union(1, 2)
-	if got := u.Labels(nil); !reflect.DeepEqual(got, []int{0, 0, 0, 0, 0}) {
-		t.Fatalf("labels after post-reset union = %v", got)
-	}
-
-	for _, bad := range [][]int{
-		{0, 0},             // wrong length
-		{0, 2, 2, 2, 2},    // labels[1]=2 > 1: not a minimum
-		{1, 1, 2, 2, 2},    // labels[0]=1 > 0
-		{0, 0, 2, 2, -1},   // negative
-		{0, 3, 2, 3, 2},    // labels[1]=3 > 1
-		{0, 1, 2, 3, 4, 5}, // wrong length
-	} {
-		u2 := NewUnionFind(5)
-		if err := u2.ResetToLabels(bad); err == nil {
-			t.Errorf("ResetToLabels(%v) accepted invalid labelling", bad)
-		}
+	if allocs := testing.AllocsPerRun(10, u.Reset); allocs != 0 {
+		t.Fatalf("Reset allocates %.0f times", allocs)
 	}
 }
 

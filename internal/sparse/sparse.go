@@ -251,7 +251,8 @@ func (g *Graph) ToDense() (*graph.Graph, error) {
 
 // ConnectedComponentsUnionFind labels each vertex with the smallest
 // vertex index in its component using a union-find pass over the edge
-// list — the sequential ground truth at sparse scale, Θ(n + m α(n)).
+// list — the sequential ground truth at sparse scale, near-linear in
+// practice and O(n + m log n) in the worst case.
 func ConnectedComponentsUnionFind(g *Graph) []int {
 	uf := graph.NewUnionFind(g.n)
 	for _, e := range g.edges { // canonical form not needed: duplicates are no-ops

@@ -79,9 +79,10 @@ func BenchmarkStreamQuery(b *testing.B) {
 }
 
 // BenchmarkStreamRecompute measures the deletion-tolerance cost: each
-// query pays a full Liu–Tarjan recompute because a deletion dirtied the
-// graph — the other side of the append-throughput vs recompute-period
-// tradeoff.
+// query pays a full Liu–Tarjan recompute, plus the union-find pass that
+// rebuilds the forest and its tree bits, because deleting a tree edge
+// dirtied the graph — the other side of the append-throughput vs
+// recompute-period tradeoff.
 func BenchmarkStreamRecompute(b *testing.B) {
 	const n = 100_000
 	ctx := context.Background()
@@ -89,16 +90,17 @@ func BenchmarkStreamRecompute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	edges := benchEdges(n, 2*n)
-	if _, err := st.Append(ctx, edges, NoEpoch); err != nil {
+	if _, err := st.Append(ctx, benchEdges(n, 2*n), NoEpoch); err != nil {
 		b.Fatal(err)
 	}
 	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 		b.ReportAllocs()
+		j := 0
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			// Dirty the graph: delete and re-append one edge.
-			e := edges[i%len(edges)]
+			// Dirty the graph: delete and re-append one tree edge.
+			j = nextEdge(st, j, true)
+			e := st.edges[j]
 			if _, err := st.Delete(ctx, []sparse.Edge{e}, NoEpoch); err != nil {
 				b.Fatal(err)
 			}
@@ -115,6 +117,52 @@ func BenchmarkStreamRecompute(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkStreamDeleteNonTree measures what a deletion costs when it
+// misses the spanning forest: one op deletes a non-tree edge, answers a
+// label-free query from the still-clean forest and re-appends the edge,
+// with no recompute anywhere.
+func BenchmarkStreamDeleteNonTree(b *testing.B) {
+	const n = 100_000
+	ctx := context.Background()
+	st, err := NewState(n, Config{Engine: gcacc.EngineLiuTarjan})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Append(ctx, benchEdges(n, 2*n), NoEpoch); err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		j := 0
+		for i := 0; i < b.N; i++ {
+			j = nextEdge(st, j, false)
+			e := []sparse.Edge{st.edges[j]}
+			if _, err := st.Delete(ctx, e, NoEpoch); err != nil {
+				b.Fatal(err)
+			}
+			snap, err := st.components(ctx, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if snap.Recomputed {
+				b.Fatal("deleting a non-tree edge forced a recompute")
+			}
+			if _, err := st.Append(ctx, e, NoEpoch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// nextEdge returns the index of the first live edge at or after j
+// (cyclically) whose tree bit equals tree.
+func nextEdge(st *State, j int, tree bool) int {
+	for j %= len(st.edges); st.tree[j] != tree; {
+		j = (j + 1) % len(st.edges)
+	}
+	return j
 }
 
 // BenchmarkParseBatch measures decoding an HTTP mutation body: a

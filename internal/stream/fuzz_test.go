@@ -12,9 +12,9 @@ import (
 
 // FuzzMutationTrace decodes arbitrary bytes into a valid mutation trace
 // (the decoder is total — no rejection path hides bugs) and replays it
-// against the incremental state, checking every query against a
-// from-scratch union-find oracle and every accepted batch against the
-// epoch counter. The trace also round-trips through the text format.
+// against two incremental states, one with a recompute period and one
+// without (replayTrace). The trace also round-trips through the text
+// format.
 func FuzzMutationTrace(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 0, 1, 2, 3, 4, 5})
@@ -37,57 +37,72 @@ func FuzzMutationTrace(f *testing.F) {
 			t.Fatalf("text round trip changed the trace")
 		}
 
-		ctx := context.Background()
-		st, err := NewState(tr.N, Config{Engine: gcacc.EngineLiuTarjan, RecomputePeriod: 3})
-		if err != nil {
-			t.Fatalf("NewState(%d): %v", tr.N, err)
+		// A RecomputePeriod-3 replica recomputes on schedule; the
+		// period-0 replica recomputes only when a tree-edge deletion
+		// requires it, so it alone would serve an answer built on stale
+		// tree bits.
+		for _, period := range []int{3, 0} {
+			replayTrace(t, tr, period)
 		}
-		live := map[sparse.Edge]struct{}{}
-		epoch := uint64(0)
-		for i, op := range tr.Ops {
-			switch op.Kind {
-			case OpQuery:
-				snap, err := st.Components(ctx)
-				if err != nil {
-					t.Fatalf("op %d: query: %v", i, err)
-				}
-				if snap.Epoch != epoch {
-					t.Fatalf("op %d: snapshot epoch %d, want %d", i, snap.Epoch, epoch)
-				}
-				want := oracleLabels(tr.N, live)
-				if !reflect.DeepEqual(snap.Labels, want) {
-					t.Fatalf("op %d: labels diverge from oracle\n got %v\nwant %v", i, snap.Labels, want)
-				}
-				if snap.Components != sparse.ComponentCount(want) {
-					t.Fatalf("op %d: components = %d, oracle %d", i, snap.Components, sparse.ComponentCount(want))
-				}
-			case OpAppend:
-				m, err := st.Append(ctx, op.Edges, int64(epoch))
-				if err != nil {
-					t.Fatalf("op %d: append: %v", i, err)
-				}
-				epoch++
-				if m.Epoch != epoch {
-					t.Fatalf("op %d: mutation epoch %d, want %d", i, m.Epoch, epoch)
-				}
-				for _, e := range op.Edges {
+	})
+}
+
+// replayTrace replays tr against one state, checking every query against
+// a from-scratch union-find oracle and the tree-bit invariant (a clean
+// graph marks n − components live edges), and every accepted batch
+// against the epoch counter.
+func replayTrace(t *testing.T, tr *Trace, period int) {
+	t.Helper()
+	ctx := context.Background()
+	st, err := NewState(tr.N, Config{Engine: gcacc.EngineLiuTarjan, RecomputePeriod: period})
+	if err != nil {
+		t.Fatalf("NewState(%d): %v", tr.N, err)
+	}
+	live := map[sparse.Edge]struct{}{}
+	epoch := uint64(0)
+	for i, op := range tr.Ops {
+		switch op.Kind {
+		case OpQuery:
+			snap, err := st.Components(ctx)
+			if err != nil {
+				t.Fatalf("period %d, op %d: query: %v", period, i, err)
+			}
+			if snap.Epoch != epoch {
+				t.Fatalf("period %d, op %d: snapshot epoch %d, want %d", period, i, snap.Epoch, epoch)
+			}
+			want := oracleLabels(tr.N, live)
+			if !reflect.DeepEqual(snap.Labels, want) {
+				t.Fatalf("period %d, op %d: labels diverge from oracle\n got %v\nwant %v", period, i, snap.Labels, want)
+			}
+			if snap.Components != sparse.ComponentCount(want) {
+				t.Fatalf("period %d, op %d: components = %d, oracle %d", period, i, snap.Components, sparse.ComponentCount(want))
+			}
+			if got := treeCount(st); got != tr.N-snap.Components {
+				t.Fatalf("period %d, op %d: %d tree edges, want n − components = %d", period, i, got, tr.N-snap.Components)
+			}
+		case OpAppend, OpDelete:
+			var m Mutation
+			if op.Kind == OpAppend {
+				m, err = st.Append(ctx, op.Edges, int64(epoch))
+			} else {
+				m, err = st.Delete(ctx, op.Edges, int64(epoch))
+			}
+			if err != nil {
+				t.Fatalf("period %d, op %d: %s: %v", period, i, op.Kind, err)
+			}
+			epoch++
+			if m.Epoch != epoch {
+				t.Fatalf("period %d, op %d: mutation epoch %d, want %d", period, i, m.Epoch, epoch)
+			}
+			for _, e := range op.Edges {
+				if op.Kind == OpAppend {
 					live[e] = struct{}{}
-				}
-			case OpDelete:
-				m, err := st.Delete(ctx, op.Edges, int64(epoch))
-				if err != nil {
-					t.Fatalf("op %d: delete: %v", i, err)
-				}
-				epoch++
-				if m.Epoch != epoch {
-					t.Fatalf("op %d: mutation epoch %d, want %d", i, m.Epoch, epoch)
-				}
-				for _, e := range op.Edges {
+				} else {
 					delete(live, e)
 				}
 			}
 		}
-	})
+	}
 }
 
 // DecodeTrace maps an arbitrary byte string onto a valid trace — the

@@ -43,7 +43,8 @@ type RegistryConfig struct {
 	// Workers is passed to recompute engines (< 1 selects GOMAXPROCS).
 	Workers int
 	// RecomputePeriod is each graph's conformance recompute period
-	// (see Config.RecomputePeriod; 0 recomputes only after deletions).
+	// (see Config.RecomputePeriod; 0 recomputes only when a deletion
+	// requires it).
 	RecomputePeriod int
 	// Fault threads the chaos injector into batches and recomputes.
 	Fault *fault.Injector

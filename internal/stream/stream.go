@@ -4,24 +4,31 @@
 // recomputes.
 //
 // Every scenario below this tier is one-shot — graph in, labels out.
-// Here a graph lives across requests: appends union in amortized
-// near-constant time, every accepted mutation batch advances an epoch,
+// Here a graph lives across requests: appends union at a near-constant
+// amortized cost per edge, every accepted mutation batch advances an epoch,
 // and queries snapshot the labelling at the current epoch. Deletions
 // are the hard case for union-find, so the tier is deletion-tolerant
-// rather than fully dynamic: a retraction marks the affected components
-// dirty and the next query (or an explicit Recompute) runs a full
-// recompute over the live edge set with a sparse engine (Liu–Tarjan by
-// default; the paper's GCA itself below the dense cutoff), then rebuilds
-// the forest from the engine's labelling. The recompute is bounded —
-// one engine run, coalesced across queries, never cascading — and the
-// forest in between is a safe over-approximation that is never served
-// while dirty.
+// rather than fully dynamic. Each live edge carries a tree bit: set when
+// the edge performed a union, so the marked edges form a spanning forest
+// of the live graph. Retracting an unmarked edge cannot change the
+// components and leaves the graph clean. Retracting a marked edge marks
+// the affected component dirty, and the next query (or an explicit
+// Recompute) runs a full recompute over the live edge set with a sparse
+// engine (Liu–Tarjan by default; the paper's GCA itself below the dense
+// cutoff). One union-find pass over the same list, run alongside the
+// engine on a pool worker, rebuilds the forest and the tree bits, and
+// the engine's labelling must equal the rebuilt forest's. The recompute
+// is bounded — one engine run plus one pass, coalesced across queries,
+// never cascading — and the forest in between is a safe
+// over-approximation that is never served while dirty.
 //
 // The live edge set is kept as an order-stable list (appends push,
 // deletes swap-remove) that the recompute lends to the engine as is:
 // the engines' labels and rounds depend only on the edge set, so the
 // list is never copied into a graph or sorted, and a recompute costs
-// Θ(n + m) per engine round plus the O(n) forest rebuild.
+// Θ(n + m) per engine round; the union-find pass, near-linear in
+// practice and O(n + m log n) in the worst case, overlaps the engine run
+// where a second core is free.
 package stream
 
 import (
@@ -34,6 +41,7 @@ import (
 	"gcacc"
 	"gcacc/internal/fault"
 	"gcacc/internal/graph"
+	"gcacc/internal/par"
 	"gcacc/internal/sparse"
 )
 
@@ -68,7 +76,8 @@ type Config struct {
 	// RecomputePeriod, when positive, forces a full recompute at the
 	// first query after every RecomputePeriod accepted mutation batches —
 	// the conformance schedule that keeps the incremental forest honest
-	// against the engines. Zero recomputes only when deletions require it.
+	// against the engines. Zero recomputes only when a tree-edge deletion
+	// requires it.
 	RecomputePeriod int
 	// MaxEdges bounds the live edge set (0 = unbounded, apart from the
 	// hard ceiling of math.MaxInt32 edges).
@@ -132,15 +141,22 @@ type State struct {
 	mu sync.Mutex
 	// edges is the live edge set, in an order that only mutations change,
 	// and is the recompute engine's input as is; pos maps each live
-	// edge's key to its index in edges.
+	// edge's key to its index in edges. tree[i] is edges[i]'s tree bit:
+	// whether that edge performed a union in uf. While the graph is clean
+	// the marked edges form a spanning forest of the live graph; while it
+	// is dirty the bits are stale, and the next recompute rebuilds them.
 	edges []sparse.Edge
+	tree  []bool
 	pos   map[uint64]int32
 	uf    *graph.UnionFind
 	epoch uint64
-	// dirty is set by any applied deletion: the forest can no longer be
-	// trusted (union-find cannot un-union) and the next query must
-	// recompute. dirtyComps holds the labels of components touched by
-	// deletions since the last recompute — the bounded "blast radius"
+	// dirty is set by an applied deletion of a tree edge, or of any edge
+	// while the graph is already dirty: the forest may still hold a union
+	// that no live edge supports (union-find cannot un-union), and the
+	// next query must recompute. Deleting an unmarked edge from a clean
+	// graph leaves the spanning forest intact and sets nothing.
+	// dirtyComps holds the labels of the components those deletions
+	// touched since the last recompute — the bounded "blast radius"
 	// reported to operators.
 	dirty        bool
 	dirtyComps   map[int32]struct{}
@@ -150,6 +166,7 @@ type State struct {
 	queries      int64
 	recomputes   int64
 	recompErrors int64
+	rc           recompute
 }
 
 // NewState builds an empty streaming graph on n vertices.
@@ -164,13 +181,15 @@ func NewState(n int, cfg Config) (*State, error) {
 		return nil, fmt.Errorf("stream: dense recompute engine %s needs n ≤ %d, got %d",
 			cfg.Engine, gcacc.DenseCutoff, n)
 	}
-	return &State{
+	s := &State{
 		cfg:        cfg,
 		n:          n,
 		pos:        make(map[uint64]int32),
 		uf:         graph.NewUnionFind(n),
 		dirtyComps: make(map[int32]struct{}),
-	}, nil
+	}
+	s.rc.s = s
+	return s, nil
 }
 
 // N returns the vertex count.
@@ -296,7 +315,7 @@ func (s *State) Append(ctx context.Context, edges []sparse.Edge, expect int64) (
 		}
 		s.pos[k] = int32(len(s.edges))
 		s.edges = append(s.edges, e)
-		s.uf.Union(int(e.U), int(e.V))
+		s.tree = append(s.tree, s.uf.Union(int(e.U), int(e.V)))
 		m.Applied++
 	}
 	s.epoch++
@@ -307,8 +326,9 @@ func (s *State) Append(ctx context.Context, edges []sparse.Edge, expect int64) (
 	return m, nil
 }
 
-// Delete applies one batch of edge retractions. Absent edges are no-ops;
-// any applied retraction marks its component dirty and forces a full
+// Delete applies one batch of edge retractions. Absent edges are no-ops.
+// Retracting a non-tree edge from a clean graph leaves it clean; any
+// other applied retraction marks its component dirty and forces a full
 // recompute before the next query answers. The batch is atomic under
 // the same precondition rules as Append.
 func (s *State) Delete(ctx context.Context, edges []sparse.Edge, expect int64) (Mutation, error) {
@@ -329,20 +349,23 @@ func (s *State) Delete(ctx context.Context, edges []sparse.Edge, expect int64) (
 			m.Ignored++
 			continue
 		}
+		tree := s.tree[i]
 		// Swap-remove: the last edge takes the deleted one's slot.
 		last := len(s.edges) - 1
 		moved := s.edges[last]
 		s.edges[i] = moved
+		s.tree[i] = s.tree[last]
 		s.pos[edgeKey(moved)] = i
 		s.edges = s.edges[:last]
+		s.tree = s.tree[:last]
 		delete(s.pos, k)
-		// The forest still has this union baked in; record the blast
-		// radius by its (stale) label and let the recompute settle it.
-		s.dirtyComps[int32(s.uf.Label(int(e.U)))] = struct{}{}
 		m.Applied++
-	}
-	if m.Applied > 0 {
-		s.dirty = true
+		if tree || s.dirty {
+			// The forest may have this union baked in; record the blast
+			// radius by its (stale) label and let the recompute settle it.
+			s.dirtyComps[int32(s.uf.Label(int(e.U)))] = struct{}{}
+			s.dirty = true
+		}
 	}
 	s.epoch++
 	s.sinceRecomp++
@@ -406,21 +429,22 @@ func (s *State) Recompute(ctx context.Context) error {
 }
 
 // recomputeLocked runs the configured engine over the live edge list,
-// lent as is, and rebuilds the forest from its labelling. On error
-// (including injected step faults and context cancellation
-// mid-recompute) the forest is unchanged and, if it was dirty, stays
-// dirty — a later query retries.
+// lent as is, and in parallel rebuilds the forest and the tree bits from
+// the same list (recompute), then requires the engine's labelling to
+// equal the rebuilt forest's (checkLabelsLocked). On error (including
+// injected step faults, context cancellation mid-recompute and a
+// labelling the forest contradicts) the recompute does not count, and a
+// dirty graph stays dirty — a later query retries. The rebuilt forest
+// and bits are correct for the live list whatever the engine did.
 func (s *State) recomputeLocked(ctx context.Context) (rounds int, err error) {
-	rep, err := gcacc.ConnectedComponentsSparse(ctx, sparse.Borrow(s.n, s.edges), gcacc.Options{
-		Engine:  s.cfg.Engine,
-		Workers: s.cfg.Workers,
-		Fault:   s.cfg.Fault,
-	})
-	if err != nil {
-		s.recompErrors++
-		return 0, err
+	s.rc.ctx = ctx
+	s.rc.group.Run(&s.rc, 2)
+	rep, err := s.rc.rep, s.rc.err
+	s.rc.ctx, s.rc.rep, s.rc.err = nil, nil, nil
+	if err == nil {
+		err = s.checkLabelsLocked(rep.Labels)
 	}
-	if err := s.uf.ResetToLabels(rep.Labels); err != nil {
+	if err != nil {
 		s.recompErrors++
 		return 0, err
 	}
@@ -429,4 +453,50 @@ func (s *State) recomputeLocked(ctx context.Context) (rounds int, err error) {
 	s.sinceRecomp = 0
 	s.recomputes++
 	return rep.Generations, nil
+}
+
+// checkLabelsLocked requires an engine's labelling to equal the forest's:
+// the union-find pass judges the engine on every recompute.
+func (s *State) checkLabelsLocked(labels []int) error {
+	if len(labels) != s.n {
+		return fmt.Errorf("stream: %s recompute labelled %d vertices, graph has %d", s.cfg.Engine, len(labels), s.n)
+	}
+	for v, l := range labels {
+		if want := s.uf.Label(v); l != want {
+			return fmt.Errorf("stream: %s recompute labels vertex %d as %d, union-find as %d", s.cfg.Engine, v, l, want)
+		}
+	}
+	return nil
+}
+
+// recompute is one recompute as a two-shard par.Job, run under the
+// state's lock. Shard 0, on the calling goroutine, runs the engine over
+// the borrowed live list; shard 1, on a pool worker when one is free,
+// resets the forest and unions the list into it in order, setting each
+// edge's tree bit. Both only read the list and only the pass writes the
+// forest and the bits, so the sequential pass overlaps the engine run
+// instead of following it.
+type recompute struct {
+	s     *State
+	group par.Group
+	ctx   context.Context
+	rep   *gcacc.Report
+	err   error
+}
+
+// RunShard runs the engine (shard 0) or the union-find pass (shard 1).
+func (rc *recompute) RunShard(shard int) {
+	s := rc.s
+	if shard == 0 {
+		rc.rep, rc.err = gcacc.ConnectedComponentsSparse(rc.ctx, sparse.Borrow(s.n, s.edges), gcacc.Options{
+			Engine:  s.cfg.Engine,
+			Workers: s.cfg.Workers,
+			Fault:   s.cfg.Fault,
+		})
+		return
+	}
+	s.uf.Reset()
+	for i, e := range s.edges {
+		s.tree[i] = s.uf.Union(int(e.U), int(e.V))
+	}
 }

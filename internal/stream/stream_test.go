@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gcacc"
@@ -314,5 +315,170 @@ func TestNewStateValidation(t *testing.T) {
 	snap, err := st.Components(context.Background())
 	if err != nil || snap.Components != 0 || len(snap.Labels) != 0 {
 		t.Fatalf("empty graph query = %+v, %v", snap, err)
+	}
+}
+
+// treeCount counts the live edges whose tree bit is set. While the graph
+// is clean they form a spanning forest, so the count is n − components.
+func treeCount(st *State) int {
+	c := 0
+	for _, t := range st.tree {
+		if t {
+			c++
+		}
+	}
+	return c
+}
+
+// mustMutate applies one append or delete batch, failing the test on error.
+func mustMutate(t *testing.T, st *State, kind OpKind, edges ...sparse.Edge) Mutation {
+	t.Helper()
+	var m Mutation
+	var err error
+	if kind == OpAppend {
+		m, err = st.Append(context.Background(), edges, NoEpoch)
+	} else {
+		m, err = st.Delete(context.Background(), edges, NoEpoch)
+	}
+	if err != nil {
+		t.Fatalf("%s %v: %v", kind, edges, err)
+	}
+	return m
+}
+
+// mustQuery answers one labelled query and checks it against the oracle
+// over live and against the tree-bit invariant.
+func mustQuery(t *testing.T, st *State, live map[sparse.Edge]struct{}, recomputed bool) *Snapshot {
+	t.Helper()
+	snap, err := st.Components(context.Background())
+	if err != nil {
+		t.Fatalf("components: %v", err)
+	}
+	if snap.Recomputed != recomputed {
+		t.Fatalf("query recomputed = %v, want %v", snap.Recomputed, recomputed)
+	}
+	if want := oracleLabels(st.N(), live); !reflect.DeepEqual(snap.Labels, want) {
+		t.Fatalf("labels = %v, oracle %v", snap.Labels, want)
+	}
+	if got, want := treeCount(st), st.N()-snap.Components; got != want {
+		t.Fatalf("%d tree edges on a clean graph with %d components, want n − c = %d", got, snap.Components, want)
+	}
+	return snap
+}
+
+func liveSet(edges ...sparse.Edge) map[sparse.Edge]struct{} {
+	live := map[sparse.Edge]struct{}{}
+	for _, e := range edges {
+		live[e] = struct{}{}
+	}
+	return live
+}
+
+func TestStateDeleteChordStaysClean(t *testing.T) {
+	st := mustState(t, 6, Config{})
+	// Cycle 0-1-2-3-0 plus the edge 4-5; (0,3) closes the cycle, so it
+	// performs no union and is the one non-tree edge.
+	cycle := []sparse.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 0, V: 3}, {U: 4, V: 5}}
+	mustMutate(t, st, OpAppend, cycle...)
+	chord := sparse.Edge{U: 0, V: 3}
+	m := mustMutate(t, st, OpDelete, chord)
+	if m.Applied != 1 || m.Dirty {
+		t.Fatalf("chord delete = %+v, want applied 1 and clean", m)
+	}
+	if info := st.Info(); info.Dirty || info.DirtyComponents != 0 || info.Edges != 4 {
+		t.Fatalf("info after chord delete = %+v", info)
+	}
+	live := liveSet(cycle...)
+	delete(live, chord)
+	snap := mustQuery(t, st, live, false)
+	if snap.Engine != "unionfind" || snap.Components != 2 {
+		t.Fatalf("snapshot = %+v, want 2 components from union-find", snap)
+	}
+	if got := st.Info().Recomputes; got != 0 {
+		t.Fatalf("recomputes = %d, want 0", got)
+	}
+}
+
+// TestStateRecomputeRebuildsTreeBits deletes a tree edge e whose
+// endpoints stay connected through a non-tree edge f. The recompute must
+// promote f to the spanning forest: with stale bits, deleting f next
+// would leave the graph clean and report one component too few.
+func TestStateRecomputeRebuildsTreeBits(t *testing.T) {
+	st := mustState(t, 4, Config{})
+	e, f := sparse.Edge{U: 1, V: 2}, sparse.Edge{U: 0, V: 3}
+	cycle := []sparse.Edge{{U: 0, V: 1}, e, {U: 2, V: 3}, f}
+	mustMutate(t, st, OpAppend, cycle...)
+	live := liveSet(cycle...)
+	if m := mustMutate(t, st, OpDelete, e); !m.Dirty {
+		t.Fatalf("tree-edge delete = %+v, want dirty", m)
+	}
+	delete(live, e)
+	mustQuery(t, st, live, true)
+	if m := mustMutate(t, st, OpDelete, f); !m.Dirty {
+		t.Fatalf("delete of the promoted edge = %+v, want dirty", m)
+	}
+	delete(live, f)
+	if snap := mustQuery(t, st, live, true); snap.Components != 2 {
+		t.Fatalf("components = %d after cutting the cycle twice, want 2", snap.Components)
+	}
+}
+
+// TestStateAppendWhileDirtyGetsTreeBit: an edge re-appended while the
+// graph is dirty unions into the stale forest, which still joins its
+// endpoints, so its bit is wrong until the recompute rebuilds it.
+func TestStateAppendWhileDirtyGetsTreeBit(t *testing.T) {
+	st := mustState(t, 4, Config{})
+	a, b := sparse.Edge{U: 0, V: 1}, sparse.Edge{U: 2, V: 3}
+	mustMutate(t, st, OpAppend, a, b)
+	mustMutate(t, st, OpDelete, a)
+	if m := mustMutate(t, st, OpAppend, a); !m.Dirty {
+		t.Fatalf("append on a dirty graph = %+v, want still dirty", m)
+	}
+	live := liveSet(a, b)
+	mustQuery(t, st, live, true)
+	if !st.tree[st.pos[edgeKey(a)]] {
+		t.Fatal("re-appended bridge has no tree bit after the recompute")
+	}
+	if m := mustMutate(t, st, OpDelete, a); !m.Dirty {
+		t.Fatalf("bridge delete = %+v, want dirty", m)
+	}
+	delete(live, a)
+	if snap := mustQuery(t, st, live, true); snap.Components != 3 {
+		t.Fatalf("components = %d, want 3", snap.Components)
+	}
+}
+
+// TestStateFailedRecomputeStaysDirty: a recompute that fails — an
+// injected engine fault, or a labelling the union-find pass contradicts
+// — leaves the graph dirty, and a later query still answers correctly.
+func TestStateFailedRecomputeStaysDirty(t *testing.T) {
+	st := mustState(t, 5, Config{Fault: fault.New(fault.Config{Seed: 1, StepErrorP: 1})})
+	path := []sparse.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}
+	mustMutate(t, st, OpAppend, path...)
+	mustMutate(t, st, OpDelete, path[1])
+	if _, err := st.Components(context.Background()); !fault.IsTransient(err) {
+		t.Fatalf("query under step faults = %v, want a transient error", err)
+	}
+	if info := st.Info(); !info.Dirty || info.DirtyComponents != 1 || info.Recomputes != 0 {
+		t.Fatalf("info after a failed recompute = %+v, want dirty and no recompute counted", info)
+	}
+
+	// The forest the pass rebuilt rejects a labelling that disagrees
+	// with it.
+	st.mu.Lock()
+	err := st.checkLabelsLocked([]int{0, 0, 0, 0, 4})
+	st.mu.Unlock()
+	if err == nil || !strings.Contains(err.Error(), "labels vertex 2 as 0, union-find as 2") {
+		t.Fatalf("wrong labelling: err = %v", err)
+	}
+	if !st.Info().Dirty {
+		t.Fatal("a rejected labelling cleared dirtiness")
+	}
+
+	st.cfg.Fault = nil
+	live := liveSet(path[0], path[2])
+	mustQuery(t, st, live, true)
+	if info := st.Info(); info.Dirty || info.Recomputes != 1 {
+		t.Fatalf("info after recovery = %+v", info)
 	}
 }

@@ -22,13 +22,17 @@ type Failure struct {
 // the fault-injected serving path. Errors counts engine errors tolerated
 // on the faulty path — faults may produce errors, never wrong answers —
 // and is always zero on the clean paths, where an error is a failure.
+// CleanDeletes, on the "stream" path only, counts applied deletion
+// batches the replica answered with Dirty=false: every edge it retracted
+// was outside the spanning forest, so no recompute followed.
 type EngineSummary struct {
-	Engine   string `json:"engine"`
-	Path     string `json:"path"`
-	Cases    int    `json:"cases"`
-	Checks   int    `json:"checks"`
-	Failures int    `json:"failures"`
-	Errors   int    `json:"errors,omitempty"`
+	Engine       string `json:"engine"`
+	Path         string `json:"path"`
+	Cases        int    `json:"cases"`
+	Checks       int    `json:"checks"`
+	Failures     int    `json:"failures"`
+	Errors       int    `json:"errors,omitempty"`
+	CleanDeletes int    `json:"clean_deletes,omitempty"`
 }
 
 // Report is the machine-readable result of a harness run — the JSON body

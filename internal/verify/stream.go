@@ -189,6 +189,9 @@ func replayTrace(rep *Report, caseName string, tr *stream.Trace, replicas []*str
 					continue
 				}
 				r.accepted++
+				if op.Kind == stream.OpDelete && m.Applied > 0 && !m.Dirty {
+					r.sum.CleanDeletes++
+				}
 				if m.Epoch != r.accepted {
 					r.sum.Failures++
 					fail(r.sum.Engine, "epoch", "op %d: epoch %d after %d accepted batches",
@@ -274,9 +277,11 @@ func oracleLabels(n int, live map[sparse.Edge]struct{}) []int {
 // case's edges arrive shuffled in batches with queries interleaved, a
 // prefix is re-appended (duplicates must be no-ops), a sample is deleted
 // in two batches (forcing the deletion-tolerant recompute path), half of
-// the deletions are re-appended, and the still-deleted edges are deleted
-// again (absent-edge no-ops). Every phase ends in a query so each regime
-// of the state machine is checked.
+// the deletions are re-appended, the still-deleted edges are deleted
+// again (absent-edge no-ops), and up to four re-appended edges are
+// deleted one batch at a time (those that closed a cycle miss the
+// spanning forest and leave the graph clean). Every phase ends in a query so each regime of the
+// state machine is checked.
 func streamTrace(c SparseCase, rng *rand.Rand) *stream.Trace {
 	edges := append([]sparse.Edge(nil), c.Graph.Edges()...)
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
@@ -314,5 +319,12 @@ func streamTrace(c SparseCase, rng *rand.Rand) *stream.Trace {
 	// Deleting already-absent edges is a no-op.
 	batch(stream.OpDelete, del[half:])
 	query()
+	// Single-edge retractions from a clean graph of re-appended edges:
+	// those that closed a cycle lie outside the replica's spanning forest
+	// and must leave it clean; a tree edge must not.
+	for _, e := range del[:min(4, half)] {
+		batch(stream.OpDelete, []sparse.Edge{e})
+		query()
+	}
 	return tr
 }

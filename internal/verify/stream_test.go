@@ -49,6 +49,17 @@ func TestRunStreamClean(t *testing.T) {
 			t.Errorf("summary %s tolerated %d errors on a clean run", s.Engine, s.Errors)
 		}
 	}
+	requireCleanDeletes(t, rep)
+}
+
+// requireCleanDeletes: some deletion batches of the corpus miss the
+// spanning forest entirely, and the incremental replica must answer
+// those without going dirty.
+func requireCleanDeletes(t *testing.T, rep *Report) {
+	t.Helper()
+	if inc := rep.Engines[0]; inc.CleanDeletes == 0 {
+		t.Errorf("%s answered no applied deletion batch with dirty=false", inc.Engine)
+	}
 }
 
 // TestRunStreamFaulty replays the same traces with mid-batch aborts and
@@ -79,6 +90,7 @@ func TestRunStreamFaulty(t *testing.T) {
 	if errs == 0 {
 		t.Fatal("no injected fault surfaced — the faulty run proved nothing")
 	}
+	requireCleanDeletes(t, rep)
 	if rep.OK() {
 		t.Logf("faulty stream run: %d checks, %d tolerated transient errors, zero divergence", rep.Checks, errs)
 	}
