@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMatrix$$' -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=$(FUZZTIME) ./internal/gcasm
 	$(GO) test -run='^$$' -fuzz='^FuzzConformanceEdgeList$$' -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz='^FuzzChainedMatchesGeneric$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzParseEdgeStream$$' -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzMutationTrace$$' -fuzztime=$(FUZZTIME) ./internal/stream
 
@@ -115,10 +116,10 @@ bench-json:
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or crash without paying for a full measurement run (CI gate).
 # The second line runs the pass/fail performance gates (internal/core
-# bench smoke tests): the kernel fast path must beat the generic
-# per-cell path, workers=8 must not be meaningfully slower than
-# workers=1, and one full n=1024 run must finish inside a generous
-# wall-clock ceiling.
+# bench smoke tests): a default run, which takes the chained kernel
+# path, must beat an observed run, which steps the generic per-cell
+# rule; workers=8 must not be meaningfully slower than workers=1; and
+# one full n=1024 run must finish inside a generous wall-clock ceiling.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	GCACC_BENCH_SMOKE=1 $(GO) test -count=1 -run '^TestBenchSmoke' -v ./internal/core

@@ -31,11 +31,9 @@ func benchGraph(n int) *graph.Graph {
 }
 
 // BenchmarkFigure2GCAProgram runs the full 12-generation program (the
-// state machine of Figure 2) for a sweep of sizes. The 256–1024 tail is
-// the scaling regime the active-region scheduler exists for: above
-// n=128 the plan-routed kernels and in-place span commits dominate the
-// profile, so these points are the ones that move when that machinery
-// regresses.
+// state machine of Figure 2) for a sweep of sizes. A default run takes
+// the chained kernel path, whose row sweeps dominate the profile above
+// n=128, so the 256–1024 tail is what moves when that path regresses.
 func BenchmarkFigure2GCAProgram(b *testing.B) {
 	for _, n := range []int{8, 16, 32, 64, 128, 256, 512, 1024} {
 		g := benchGraph(n)
@@ -250,11 +248,10 @@ func BenchmarkGCAvsBaselines(b *testing.B) {
 
 // BenchmarkEngineWorkers measures the simulator's multicore scaling (the
 // engine, not the model): one full program run under different worker
-// counts, at the historical n=128 point and at the n=1024 scale the
-// active-region scheduler targets. ReportAllocs puts allocs/op into the
-// committed trajectory (gca-benchjson), pinning the per-worker
-// allocation flatness the global stepping pool guarantees: the curve
-// must stay level as workers grow, not climb.
+// counts, at the historical n=128 point and at n=1024. ReportAllocs
+// puts allocs/op into the committed trajectory (gca-benchjson), pinning
+// the per-worker allocation flatness the global stepping pool
+// guarantees: the curve must stay level as workers grow, not climb.
 //
 // The n=128/m=256/workers=1 case is the shape the serving benchmark's
 // oneshot-gca workload sends: a sparse random graph on one worker. The

@@ -2,13 +2,12 @@ package core_test
 
 // Environment-gated performance smoke gates, run by `make bench-smoke`
 // (and its CI job) with GCACC_BENCH_SMOKE=1. Unlike the measurement
-// benchmarks these are pass/fail: they catch the regressions the
-// active-region scheduling and chained-generation work exist to prevent —
-// the kernel fast path falling behind the generic per-cell path, a
-// default run no longer chaining its generations, and worker fan-out making
-// the engine slower instead of flat-or-faster — plus a generous
-// wall-clock ceiling on the n=1024 point so a superlinear blow-up fails
-// the build rather than merely slowing it.
+// benchmarks these are pass/fail: they catch a default run no longer
+// taking the chained kernel path (and so costing what the generic
+// per-cell path costs), and worker fan-out making the engine slower
+// instead of flat-or-faster — plus a generous wall-clock ceiling on the
+// n=1024 point so a superlinear blow-up fails the build rather than
+// merely slowing it.
 //
 // Margins are deliberately loose: CI runners and the reference container
 // are small (often a single core, where extra workers can only add
@@ -53,42 +52,13 @@ func medianRunTime(t *testing.T, reps int, fn func() error) time.Duration {
 	return times[len(times)/2]
 }
 
-// stepSchedule drives one machine through the full Figure-2 schedule.
-func stepSchedule(n int, f *gca.Field, rule gca.Rule) error {
-	m := gca.NewMachine(f, rule, gca.WithWorkers(1))
-	for _, ctx := range core.Schedule(n, 0) {
-		if _, err := m.Step(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestBenchSmokeFastPathBeatsGeneric fails the build if the plan-routed
-// kernel path stops being faster than the generic per-cell reference
-// path on the same workload — the entire point of compiling kernels.
-func TestBenchSmokeFastPathBeatsGeneric(t *testing.T) {
-	benchSmokeEnabled(t)
-	const n = 256
-	g := graph.Gnp(n, 0.5, rand.New(rand.NewSource(2007)))
-	fast := medianRunTime(t, 3, func() error {
-		return stepSchedule(n, core.NewProgramFieldForTest(g), core.NewProgramRule(n))
-	})
-	generic := medianRunTime(t, 3, func() error {
-		return stepSchedule(n, core.NewProgramFieldForTest(g), genericOnly{core.NewProgramRule(n)})
-	})
-	t.Logf("n=%d: fast path %v, generic path %v", n, fast, generic)
-	if fast >= generic {
-		t.Fatalf("kernel fast path (%v) is not faster than the generic per-cell path (%v)", fast, generic)
-	}
-}
-
-// TestBenchSmokeFusedBeatsStepped fails the build if a default run stops
-// taking the chained path: core.Run with nothing observing must
-// beat the same run with a no-op observer, which steps every
-// sub-generation. A default observer or hook that silently turned
-// chaining off would make the two runs cost the same.
-func TestBenchSmokeFusedBeatsStepped(t *testing.T) {
+// TestBenchSmokeChainedBeatsGeneric fails the build if a default run
+// stops taking the chained kernel path: core.Run with nothing observing
+// must beat the same run with a no-op observer, which steps every
+// sub-generation through the generic per-cell rule. A default option
+// that silently turned chaining off would make the two runs cost the
+// same.
+func TestBenchSmokeChainedBeatsGeneric(t *testing.T) {
 	benchSmokeEnabled(t)
 	const n = 256
 	g := graph.Gnp(n, 0.5, rand.New(rand.NewSource(2007)))
@@ -99,11 +69,11 @@ func TestBenchSmokeFusedBeatsStepped(t *testing.T) {
 			return err
 		}
 	}
-	fused := medianRunTime(t, 3, run(core.Options{Workers: 1}))
-	stepped := medianRunTime(t, 3, run(core.Options{Workers: 1, Observer: noop}))
-	t.Logf("n=%d: fused %v, stepped %v", n, fused, stepped)
-	if fused >= stepped {
-		t.Fatalf("default run (%v) is not faster than the sub-generation-stepped run (%v): the chained path is off", fused, stepped)
+	chained := medianRunTime(t, 3, run(core.Options{Workers: 1}))
+	generic := medianRunTime(t, 3, run(core.Options{Workers: 1, Observer: noop}))
+	t.Logf("n=%d: chained %v, generic %v", n, chained, generic)
+	if chained >= generic {
+		t.Fatalf("default run (%v) is not faster than the generic per-cell run (%v): the chained path is off", chained, generic)
 	}
 }
 
@@ -132,7 +102,7 @@ func TestBenchSmokeWorkerScaling(t *testing.T) {
 
 // TestBenchSmokeN1024Ceiling is the scale smoke point: one full n=1024
 // program run must finish inside a deliberately generous ceiling, so a
-// superlinear regression (a lost plan, a quadratic rescan) fails CI
+// superlinear regression (a quadratic rescan, say) fails CI
 // outright instead of quietly stretching the bench job.
 func TestBenchSmokeN1024Ceiling(t *testing.T) {
 	benchSmokeEnabled(t)

@@ -5,12 +5,11 @@ import (
 	"gcacc/internal/graph"
 )
 
-// Test-only exports: the kernel lockstep tests live in package core_test
-// so they can import internal/verify (which itself imports core) without
-// a cycle, but they need the unexported rule and field loader.
+// Test-only exports: the chain battery lives in package core_test so it
+// can import internal/verify (which itself imports core) without a
+// cycle, but it needs the unexported rules and field loader.
 
-// NewProgramRule returns the Figure-2 rule for an n-node layout. The
-// result implements gca.KernelRule.
+// NewProgramRule returns the generic Figure-2 rule for an n-node layout.
 func NewProgramRule(n int) gca.Rule { return rule{lay: Layout{N: n}} }
 
 // NewProgramFieldForTest builds the loaded (n+1)×n field for g.
@@ -19,16 +18,21 @@ func NewProgramFieldForTest(g *graph.Graph) *gca.Field {
 }
 
 // NewChainRule returns the rule an unobserved run steps: the Figure-2
-// rule plus the chain kernels and their column-0 prologue.
+// rule plus the chained run's kernel and its column-0 prologue.
 func NewChainRule(n int) gca.Rule { return newChainRule(Layout{N: n}) }
 
-// ChainSchedule is the schedule rewrite Run applies when nothing
-// observes sub-generations: each broadcast–mask–reduce chain becomes one
-// chain context.
-var ChainSchedule = chainSchedule
+// ChainSchedule is the control sequence of an unobserved run.
+func ChainSchedule(iterations int) []gca.Context {
+	ctxs := make([]gca.Context, 1+3*iterations)
+	for k := range ctxs {
+		ctxs[k] = chainStep(k)
+	}
+	return ctxs
+}
 
-// IsChain reports whether ctx commits a whole chain.
-var IsChain = isChain
+// StepGenerations is the number of stepped contexts a committed step
+// covers.
+var StepGenerations = stepGenerations
 
-// ChainGenerations is the number of stepped contexts one chain covers.
-var ChainGenerations = chainGenerations
+// SubChain is the Sub of chain and tail contexts.
+const SubChain = subChain

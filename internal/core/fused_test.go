@@ -28,78 +28,148 @@ func fusedCorpus() []verify.Case {
 	return cases
 }
 
-// TestFusedReduceMatchesStepped is the chain battery. It steps two
-// kernel-path machines side by side: one through the paper's schedule,
-// one through the chained schedule Run uses when nothing observes
-// sub-generations. After every chain step the whole field, bottom row
-// included, must equal the stepped field after the chain's last reduce
-// sub-generation; every other step must agree too, in field and in
-// counts. A chain step reports no active cells and no reads. Worker
+// TestFusedReduceMatchesStepped is the chain battery. It steps a
+// chained machine through the schedule Run uses when nothing observes
+// sub-generations — generation 0, then per iteration chain 1
+// (generations 1–4), chain 2 (5–8) and the tail (9–11) — beside a
+// generic machine stepping the paper's schedule. After every committed
+// chained step the whole field, bottom row included, must equal the
+// generic field after the last sub-generation the step covers. Worker
 // counts 2 and 4 shard the larger fields mid-row, which exercises the
-// chain kernel's row-tail fold.
+// kernel's row walk and the chains' row-tail fold.
 func TestFusedReduceMatchesStepped(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			for _, c := range fusedCorpus() {
-				checkFusedLockstep(t, c, workers)
+				checkChainedLockstep(t, c.Name, c.Graph, workers)
 			}
 		})
 	}
 }
 
-func checkFusedLockstep(t *testing.T, c verify.Case, workers int) {
+// checkChainedLockstep is the judge shared by the chain battery and
+// FuzzChainedMatchesGeneric. It runs at least one iteration, so n = 1,
+// whose default run is generation 0 alone, still reaches the chains and
+// the tail.
+func checkChainedLockstep(t *testing.T, name string, g *graph.Graph, workers int) {
 	t.Helper()
-	n := c.Graph.N()
-	sched := core.Schedule(n, 0)
-	chained := core.ChainSchedule(core.Schedule(n, 0))
-	stepField := core.NewProgramFieldForTest(c.Graph)
-	chainField := core.NewProgramFieldForTest(c.Graph)
+	n := g.N()
+	iters := max(core.Iterations(n), 1)
+	sched := core.Schedule(n, iters)
+	chained := core.ChainSchedule(iters)
+	stepField := core.NewProgramFieldForTest(g)
+	chainField := core.NewProgramFieldForTest(g)
 	stepped := gca.NewMachine(stepField, core.NewProgramRule(n), gca.WithWorkers(workers))
 	chaining := gca.NewMachine(chainField, core.NewChainRule(n), gca.WithWorkers(workers))
 
 	var got, want []gca.Value
 	j := 0
 	for _, ctx := range chained {
-		covered := 1
-		if core.IsChain(ctx) {
-			covered = core.ChainGenerations(n)
+		covered := core.StepGenerations(ctx, n)
+		if sc := sched[j]; sc.Iteration != ctx.Iteration || sc.Generation != ctx.Generation {
+			t.Fatalf("%s: chained context %+v does not start at stepped context %+v", name, ctx, sc)
 		}
-		wantActive, wantReads := 0, 0
-		for k := 0; k < covered; k++ {
-			sc := sched[j]
-			j++
-			if sc.Iteration != ctx.Iteration || sc.Generation != ctx.Generation+min(k, 2) {
-				t.Fatalf("%s: chained context %+v does not cover stepped context %+v", c.Name, ctx, sc)
+		for _, sc := range sched[j : j+covered] {
+			if _, err := stepped.Step(sc); err != nil {
+				t.Fatalf("%s: stepped %+v: %v", name, sc, err)
 			}
-			s, err := stepped.Step(sc)
-			if err != nil {
-				t.Fatalf("%s: stepped %+v: %v", c.Name, sc, err)
-			}
-			wantActive, wantReads = s.Active, s.TotalReads
 		}
-		s, err := chaining.Step(ctx)
-		if err != nil {
-			t.Fatalf("%s: chained %+v: %v", c.Name, ctx, err)
+		j += covered
+		if _, err := chaining.Step(ctx); err != nil {
+			t.Fatalf("%s: chained %+v: %v", name, ctx, err)
 		}
 		got = chainField.Snapshot(got[:0])
 		want = stepField.Snapshot(want[:0])
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s (workers=%d): after %+v: cell %d (row %d col %d) is %d, stepped %d",
-					c.Name, workers, ctx, i, i/n, i%n, got[i], want[i])
+					name, workers, ctx, i, i/n, i%n, got[i], want[i])
 			}
-		}
-		if covered > 1 {
-			wantActive, wantReads = 0, 0
-		}
-		if s.Active != wantActive || s.TotalReads != wantReads {
-			t.Fatalf("%s (workers=%d): after %+v: active=%d reads=%d, want active=%d reads=%d",
-				c.Name, workers, ctx, s.Active, s.TotalReads, wantActive, wantReads)
 		}
 	}
 	if j != len(sched) {
-		t.Fatalf("%s: chained schedule covers %d of %d stepped contexts", c.Name, j, len(sched))
+		t.Fatalf("%s: chained schedule covers %d of %d stepped contexts", name, j, len(sched))
 	}
+}
+
+// TestKernelShortcutRangeError pins the tail step's error to the generic
+// path's: an out-of-range C value in column 0 must abort the tail with
+// the message the generic rule reports at the first shortcut
+// sub-generation (at the final min for n = 1, which has none), and leave
+// the field and the tick as they were. At n = 40 four workers shard the
+// field.
+func TestKernelShortcutRangeError(t *testing.T) {
+	for _, n := range []int{1, 4, 40} {
+		lay := core.Layout{N: n}
+		load := func() *gca.Field {
+			f := gca.NewField(lay.Size())
+			for j := 0; j < n; j++ {
+				f.SetData(lay.ColumnZero(j), gca.Value(j))
+			}
+			f.SetData(lay.ColumnZero(n-1), gca.Value(n+3))
+			f.SetData(lay.ColumnZero(n/2), -1)
+			return f
+		}
+
+		var want error
+		generic := gca.NewMachine(load(), core.NewProgramRule(n), gca.WithWorkers(4))
+		for _, ctx := range core.Schedule(n, 1) {
+			if ctx.Generation < core.GenSpread {
+				continue
+			}
+			if _, want = generic.Step(ctx); want != nil {
+				break
+			}
+		}
+		if want == nil {
+			t.Fatalf("n=%d: the generic path did not report the invalid C value", n)
+		}
+
+		field := load()
+		before := field.Snapshot(nil)
+		m := gca.NewMachine(field, core.NewChainRule(n), gca.WithWorkers(4))
+		_, err := m.Step(gca.Context{Generation: core.GenSpread, Sub: core.SubChain})
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("n=%d: tail step error %v, want the generic path's %q", n, err, want)
+		}
+		if m.Tick() != 0 {
+			t.Fatalf("n=%d: tick advanced to %d on an aborted tail step", n, m.Tick())
+		}
+		for i, v := range field.Snapshot(nil) {
+			if v != before[i] {
+				t.Fatalf("n=%d: cell %d changed across an aborted tail step: %d -> %d", n, i, before[i], v)
+			}
+		}
+	}
+}
+
+// FuzzChainedMatchesGeneric is checkChainedLockstep on decoded graphs:
+// the first byte picks n in 1…40, the second 1–4 workers, and the bits
+// of the rest fill the adjacency matrix's upper triangle row by row
+// (missing bytes are zero). Fields of n ≥ 22 with two or more workers
+// are sharded, mostly mid-row.
+func FuzzChainedMatchesGeneric(f *testing.F) {
+	f.Add([]byte{0, 0})
+	f.Add([]byte{1, 1, 0x01})
+	f.Add([]byte{39, 3, 0x5a, 0xc3, 0x0f, 0xf0, 0x33})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, workers := 1+int(data[0])%40, 1+int(data[1])%4
+		bits := data[2:]
+		g := graph.New(n)
+		k := 0
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if k/8 < len(bits) && bits[k/8]>>(k%8)&1 == 1 {
+					g.AddEdge(u, v)
+				}
+				k++
+			}
+		}
+		checkChainedLockstep(t, fmt.Sprintf("n=%d/m=%d", n, g.M()), g, workers)
+	})
 }
 
 // TestFusedRunMatchesObservedRun pins core.Run's two paths to each
@@ -132,10 +202,10 @@ func TestFusedRunMatchesObservedRun(t *testing.T) {
 	}
 }
 
-// TestObservedRunSeesEverySubGeneration pins that fusion never hides a
-// sub-generation from anything that watches them: an observer, the
-// per-generation records and the step hooks each see the paper's whole
-// schedule, one entry per sub-generation.
+// TestObservedRunSeesEverySubGeneration pins that chaining never hides
+// a sub-generation from anything that watches them: an observer and the
+// per-generation records each see the paper's whole schedule, one entry
+// per sub-generation.
 func TestObservedRunSeesEverySubGeneration(t *testing.T) {
 	for _, n := range []int{2, 5, 16} {
 		g := graph.Path(n)
@@ -176,16 +246,48 @@ func TestObservedRunSeesEverySubGeneration(t *testing.T) {
 			recorded = append(recorded, gca.Context{Generation: r.Generation, Sub: r.Sub, Iteration: r.Iteration})
 		}
 		checkSeen("records", recorded)
+	}
+}
 
+// TestHookedRunTakesChainedPath pins that step hooks never force
+// stepping: a run with hooks commits the chained schedule, BeforeStep
+// fires once per committed step, 1 + 3·⌈log n⌉ times, and chain and
+// tail contexts carry Sub = SubChain. The run still accounts for every
+// generation of the paper's schedule.
+func TestHookedRunTakesChainedPath(t *testing.T) {
+	for _, n := range []int{2, 5, 16} {
+		want := core.ChainSchedule(core.Iterations(n))
+		if len(want) != 1+3*core.Log2Ceil(n) {
+			t.Fatalf("n=%d: chained schedule has %d steps, want %d", n, len(want), 1+3*core.Log2Ceil(n))
+		}
 		var hooked []gca.Context
-		_, err = core.Run(g, core.Options{Hooks: gca.StepHooks{BeforeStep: func(ctx gca.Context) error {
-			hooked = append(hooked, ctx)
-			return nil
-		}}})
+		stalls := 0
+		res, err := core.Run(graph.Path(n), core.Options{Workers: 1, Hooks: gca.StepHooks{
+			BeforeStep: func(ctx gca.Context) error {
+				hooked = append(hooked, ctx)
+				return nil
+			},
+			WorkerStall: func(gca.Context, int) { stalls++ },
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSeen("BeforeStep", hooked)
+		if len(hooked) != len(want) || stalls != len(want) {
+			t.Fatalf("n=%d: BeforeStep fired %d times and WorkerStall %d, want once per committed step (%d)",
+				n, len(hooked), stalls, len(want))
+		}
+		for i, ctx := range want {
+			got := hooked[i]
+			if got.Generation != ctx.Generation || got.Sub != ctx.Sub || got.Iteration != ctx.Iteration {
+				t.Fatalf("n=%d: step %d ran %+v, want %+v", n, i, got, ctx)
+			}
+			if ctx.Generation != core.GenInit && got.Sub != core.SubChain {
+				t.Fatalf("n=%d: step %d has Sub %d, want SubChain", n, i, got.Sub)
+			}
+		}
+		if res.Generations != core.TotalGenerations(n) {
+			t.Fatalf("n=%d: %d generations, want %d", n, res.Generations, core.TotalGenerations(n))
+		}
 	}
 }
 
@@ -218,7 +320,7 @@ func TestCancelChecksEveryCommittedStep(t *testing.T) {
 		opt   core.Options
 		steps int
 	}{
-		{"chained", core.Options{}, len(core.ChainSchedule(core.Schedule(n, 0)))},
+		{"chained", core.Options{}, 1 + 3*core.Iterations(n)},
 		{"observed", core.Options{Observer: noop}, core.TotalGenerations(n)},
 	} {
 		whole := &countdownCtx{Context: context.Background(), left: 1 << 30}

@@ -83,8 +83,9 @@ func TotalGenerations(n int) int {
 // generations 1–11 with ⌈log₂ n⌉ sub-generations for the reductions and
 // the shortcut. iterations ≤ 0 selects the paper's ⌈log₂ n⌉. Run steps
 // exactly this sequence whenever anything observes its steps (otherwise
-// it commits each broadcast–mask–reduce chain of it in one step), so the
-// slice doubles as the sequencing oracle of the conformance harness:
+// it commits generation 0 and, per iteration, two chains and a tail that
+// cover this sequence; see chainStep), so the slice doubles as the
+// sequencing oracle of the conformance harness:
 // len(Schedule(n, 0)) == TotalGenerations(n).
 func Schedule(n, iterations int) []gca.Context {
 	if n < 1 {

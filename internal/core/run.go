@@ -10,11 +10,11 @@ import (
 )
 
 // Options configures a run of the GCA program. Setting any of
-// CollectStats, CapturePointers, Observer or Hooks makes the run commit
-// every sub-generation as its own step; without them each
-// broadcast–mask–reduce chain is committed in one step (see Run).
+// CollectStats, CapturePointers or Observer makes the run commit every
+// sub-generation as its own step; without them the run commits
+// 1 + 3·iterations steps (see Run).
 type Options struct {
-	// Ctx, if non-nil, is checked between committed generations: a
+	// Ctx, if non-nil, is checked before every committed step: a
 	// cancelled or expired context aborts the run with the context's
 	// error. Nil means "never cancel".
 	Ctx context.Context
@@ -33,44 +33,46 @@ type Options struct {
 	Observer gca.Observer
 	// Hooks are optional per-step fault-injection points (latency,
 	// worker stalls, forced transient errors) threaded into the machine;
-	// the zero value injects nothing. See internal/fault.
+	// they fire once per committed step, whichever steps the run
+	// commits, and the zero value injects nothing. See internal/fault.
 	Hooks gca.StepHooks
 	// Iterations overrides the number of outer iterations; 0 selects the
 	// paper's ⌈log₂ n⌉.
 	Iterations int
 }
 
-// subChain is the Sub of a chain context: generation 1 or 5 with this
-// Sub commits that generation and the two after it — the broadcast, the
-// mask and all ⌈log n⌉ sub-generations of the min-reduce — as one
-// machine step. Run issues it only when nothing observes sub-generations;
-// the generic per-cell path has no counterpart, so only a chainRule's
-// kernel (which such a run always takes) evaluates it.
+// subChain is the Sub of a context that commits several of the paper's
+// generations in one machine step: generation 1 (5) with this Sub
+// commits generations 1–4 (5–8) — the broadcast, the mask, all ⌈log n⌉
+// sub-generations of the min-reduce and the default — and generation 9
+// commits generations 9–11, the spread, the ⌈log n⌉ shortcut
+// sub-generations and the final min. Run issues them only when nothing
+// observes sub-generations; the generic per-cell path has no
+// counterpart, so only a chainRule's kernel evaluates them.
 const subChain = -1
 
-func isChain(ctx gca.Context) bool {
-	return (ctx.Generation == GenCopyC || ctx.Generation == GenCopyT) && ctx.Sub == subChain
+// chainStep is step k of the control sequence of an unobserved run:
+// generation 0, then per iteration chain 1, chain 2 and the tail. Run
+// computes it per step rather than allocating the sequence.
+func chainStep(k int) gca.Context {
+	if k == 0 {
+		return gca.Context{Generation: GenInit, Iteration: -1}
+	}
+	gens := [...]int{GenCopyC, GenCopyT, GenSpread}
+	return gca.Context{Generation: gens[(k-1)%3], Sub: subChain, Iteration: (k - 1) / 3}
 }
 
-// chainGenerations is the number of the paper's synchronous steps one
-// chain commits: the broadcast, the mask and the reduce's sub-generations.
-func chainGenerations(n int) int { return 2 + SubGenerations(n) }
-
-// chainSchedule collapses generations 1–3 and 5–7 of every iteration in
-// sched into one chain context each, in place, and returns the shortened
-// schedule.
-func chainSchedule(sched []gca.Context) []gca.Context {
-	out := sched[:0]
-	for _, ctx := range sched {
-		switch ctx.Generation {
-		case GenMaskAdj, GenReduceT, GenMaskComp, GenReduceT2:
-			continue
-		case GenCopyC, GenCopyT:
-			ctx.Sub = subChain
-		}
-		out = append(out, ctx)
+// stepGenerations is the number of the paper's synchronous steps the
+// committed step ctx covers.
+func stepGenerations(ctx gca.Context, n int) int {
+	switch {
+	case ctx.Sub != subChain:
+		return 1
+	case ctx.Generation == GenSpread:
+		return 2 + SubGenerations(n)
+	default:
+		return 3 + SubGenerations(n)
 	}
-	return out
 }
 
 // GenRecord summarises one committed sub-generation of a run.
@@ -96,7 +98,7 @@ type Result struct {
 	Iterations int
 	// Generations is the number of synchronous steps of the paper's
 	// schedule the run executed, counting every sub-generation, also
-	// when a chain of generations was committed in one step (equals
+	// when several generations were committed in one step (equals
 	// TotalGenerations(n) when Options.Iterations was 0).
 	Generations int
 	// Records holds one entry per committed step when CollectStats was
@@ -139,31 +141,32 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 		iters = Iterations(n)
 	}
 
-	// The canonical control sequence — generation 0 once, then iters
-	// passes over generations 1–11. Schedule is the single source of
-	// truth for the sequencing, shared with the conformance harness.
-	sched := Schedule(n, iters)
-
-	// Nothing between the generations of a broadcast–mask–reduce chain
-	// is observable without stats, pointer capture, an observer or
-	// hooks, so such a run commits each chain as one step that sweeps
-	// every row once (chainRule) and leaves the field the stepped chain
-	// leaves.
+	// Nothing between the generations of a chain or the tail is
+	// observable without stats, pointer capture or an observer, so such
+	// a run commits generation 0, then per iteration each chain and the
+	// tail as one step that sweeps every row once (chainRule), and
+	// leaves the field the stepped generations leave. Hooks fire per
+	// committed step either way. Any other run steps the canonical
+	// control sequence, which Schedule shares with the conformance
+	// harness.
 	var r gca.Rule = rule{lay: lay}
-	if !opt.CollectStats && !opt.CapturePointers && opt.Observer == nil &&
-		opt.Hooks.BeforeStep == nil && opt.Hooks.WorkerStall == nil {
+	var sched []gca.Context
+	steps := 1 + 3*iters
+	if opt.CollectStats || opt.CapturePointers || opt.Observer != nil {
+		sched = Schedule(n, iters)
+		steps = len(sched)
+	} else {
 		r = newChainRule(lay)
-		sched = chainSchedule(sched)
 	}
 	machine := gca.NewMachine(field, r, mopts...)
 
 	res := &Result{N: n, Iterations: iters}
 	if opt.CollectStats {
-		res.Records = make([]GenRecord, 0, len(sched))
+		res.Records = make([]GenRecord, 0, steps)
 	}
 	step := func(ctx gca.Context) error {
 		if opt.Ctx != nil {
-			// A committed generation is the run's cancellation point. The
+			// A committed step is the run's cancellation point. The
 			// single-worker step path runs inline without touching the
 			// scheduler, so on GOMAXPROCS=1 the goroutine calling cancel
 			// would otherwise starve until the run completes; yield first.
@@ -178,11 +181,7 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 			return fmt.Errorf("core: iteration %d generation %d sub %d: %w",
 				ctx.Iteration, ctx.Generation, ctx.Sub, err)
 		}
-		if isChain(ctx) {
-			res.Generations += chainGenerations(n)
-		} else {
-			res.Generations++
-		}
+		res.Generations += stepGenerations(ctx, n)
 		if opt.CollectStats {
 			res.Records = append(res.Records, GenRecord{
 				Iteration:  ctx.Iteration,
@@ -198,7 +197,11 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 		return nil
 	}
 
-	for _, ctx := range sched {
+	for k := range steps {
+		ctx := chainStep(k)
+		if sched != nil {
+			ctx = sched[k]
+		}
 		if err := step(ctx); err != nil {
 			return nil, err
 		}
@@ -214,8 +217,7 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 
 // newProgramField builds the (n+1)×n cell field of the Figure-2 program
 // with the adjacency matrix loaded into the static a field of the square
-// cells: cell (j,i).a = A(j,i). Shared by Run and the kernel lockstep
-// tests.
+// cells: cell (j,i).a = A(j,i). Shared by Run and the chain battery.
 func newProgramField(g *graph.Graph, lay Layout) *gca.Field {
 	field := gca.NewField(lay.Size())
 	adj := g.Adjacency()

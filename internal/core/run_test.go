@@ -336,10 +336,11 @@ func TestStepMapping(t *testing.T) {
 
 // TestRunAllocations pins a default run's allocations at the serving
 // shape (n = 128, m = 256) and at the cluster-hot preload shape
-// (n = 512, m = 1024). A chained run gathers column 0 into one per-run
-// vector, so the count is flat in the number of steps; a gather or a
+// (n = 512, m = 1024). A chained run allocates its gather vectors and
+// binds its two kernels once, and computes its control sequence per
+// step, so the count is flat in the number of steps; a gather or a
 // kernel closure made per step would add one allocation for every
-// committed step (over 60 at n = 128).
+// committed step (22 at n = 128).
 func TestRunAllocations(t *testing.T) {
 	for _, tc := range []struct{ n, m, max int }{
 		{128, 256, 14},

@@ -74,12 +74,3 @@ func (f *Field) Snapshot(dst []Value) []Value {
 
 // swap commits the next buffer as the current one.
 func (f *Field) swap() { f.cur, f.next = f.next, f.cur }
-
-// commitRange commits cells [lo, hi) in place by copying their freshly
-// computed next values over the current buffer. Span-mode steps use it
-// instead of swap: when a generation's active region is a sliver of the
-// field, committing just that sliver avoids making every idle cell's
-// next value authoritative (which a swap does, and which therefore
-// requires a full-field copy-forward first). Callers must have finished
-// all current-generation reads before the first commitRange of a step.
-func (f *Field) commitRange(lo, hi int) { copy(f.cur[lo:hi], f.next[lo:hi]) }

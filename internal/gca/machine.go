@@ -23,36 +23,23 @@ func (fn ObserverFunc) OnStep(f *Field, s *StepStats) { fn(f, s) }
 // Machine executes a Rule over a Field in synchronous generations,
 // optionally sharded over the process-global fan-out pool of
 // internal/par. The result of a step is a pure function of the previous
-// field state, so it is bit-identical for every worker count and for
-// every scheduling mode.
+// field state, so it is bit-identical for every worker count.
 //
-// When the rule is a KernelPlanner, each step first asks it for the
-// generation's active region and picks one of two scheduling modes:
-//
-//   - sweep: the whole field is sharded as usual, but each shard invokes
-//     the bulk kernel only on its plan-active runs and bulk-copies the
-//     passive gaps (a straight memmove per gap) into the next buffer,
-//     then the buffers swap. Chosen for dense plans.
-//   - span: only the plan's segments are computed — serially, since the
-//     work is a sliver of the field — and committed in place; no shard
-//     dispatch, no barrier, no full-field traffic. Chosen when the plan
-//     covers at most 1/8 of the field, which turns the paper's
-//     column-0-only generations from O(n²) steps into O(n) steps.
-//
-// When the rule is also a KernelPrologue, every kernel-path step calls
-// its Prologue once before either mode starts.
+// When the rule is a KernelRule and no instrumentation needs per-cell
+// pointer visibility, a step whose context has a kernel hands each shard
+// its whole [lo, hi) range to that kernel instead of evaluating the rule
+// cell by cell. When the rule is also a KernelPrologue, every such step
+// calls its Prologue once before any shard starts.
 type Machine struct {
 	field   *Field
 	rule    Rule
 	rule2   Rule2          // non-nil when rule is two-handed
 	kernels KernelRule     // non-nil when rule provides bulk kernels
-	planner KernelPlanner  // non-nil when rule also declares active regions
 	prolog  KernelPrologue // non-nil when rule sets up its kernels per step
 	workers int
 
 	collectCongestion bool
 	capturePointers   bool
-	fullSweep         bool // disable span mode (differential testing)
 	observer          Observer
 	hooks             StepHooks
 
@@ -71,7 +58,6 @@ type Machine struct {
 	// to the shared pool (the pool's channel send orders the accesses).
 	jobCtx    Context
 	jobKernel Kernel
-	jobPlan   Plan
 
 	// Scratch buffers, reused across steps.
 	stats       StepStats
@@ -120,9 +106,9 @@ type StepHooks struct {
 	// the previous generation and the tick does not advance, so the
 	// machine state stays consistent for the caller's error handling.
 	BeforeStep func(ctx Context) error
-	// WorkerStall runs before a shard's range is scanned (in whichever
-	// goroutine evaluates it) and once, for shard 0, before a span-mode
-	// commit; it may block. Stalls delay the step barrier but never
+	// WorkerStall runs before a shard's range is scanned, in whichever
+	// goroutine evaluates it, on the generic and the kernel path alike;
+	// it may block. Stalls delay the step barrier but never
 	// change results — each generation remains a pure function of the
 	// previous field regardless of shard timing.
 	WorkerStall func(ctx Context, worker int)
@@ -147,9 +133,6 @@ func NewMachine(field *Field, rule Rule, opts ...Option) *Machine {
 	}
 	if kr, ok := rule.(KernelRule); ok {
 		m.kernels = kr
-	}
-	if kp, ok := rule.(KernelPlanner); ok {
-		m.planner = kp
 	}
 	if kp, ok := rule.(KernelPrologue); ok {
 		m.prolog = kp
@@ -243,37 +226,18 @@ func (m *Machine) Step(ctx Context) (*StepStats, error) {
 	// The bulk-kernel fast path applies when the rule provides a kernel
 	// for this generation and no instrumentation needs per-cell pointer
 	// visibility. The choice depends only on ctx, so every shard of the
-	// step takes the same path and the result stays bit-identical to the
-	// generic one.
-	size := m.field.Len()
+	// step takes the same path.
 	m.jobKernel = nil
-	m.jobPlan = fullPlan(size)
 	if m.kernels != nil && !m.collectCongestion && !m.capturePointers {
 		m.jobKernel = m.kernels.KernelFor(ctx)
-		if m.jobKernel != nil && m.planner != nil {
-			p := m.planner.PlanFor(ctx)
-			if err := p.validate(size); err != nil {
+		if m.jobKernel != nil && m.prolog != nil {
+			if err := m.prolog.Prologue(ctx, m.field.cur); err != nil {
 				return nil, err
 			}
-			if !p.Full(size) {
-				m.jobPlan = p
-			}
-		}
-		if m.jobKernel != nil && m.prolog != nil {
-			m.prolog.Prologue(ctx, m.field.cur)
 		}
 	}
 
-	// Span mode: the plan covers so little of the field that computing
-	// its segments serially and committing them in place beats touching
-	// all size cells (kernel sweep + gap copies + swap would). The
-	// observable result — field contents, Active, TotalReads — is
-	// bit-identical to a full sweep; only the schedule differs.
-	if m.jobKernel != nil && !m.fullSweep && !m.jobPlan.Full(size) && m.jobPlan.Cells()*8 <= size {
-		if err := m.runSpan(ctx); err != nil {
-			return nil, err
-		}
-	} else if err := m.runSweep(ctx); err != nil {
+	if err := m.runSweep(ctx); err != nil {
 		return nil, err
 	}
 
@@ -302,43 +266,9 @@ func (m *Machine) Step(ctx Context) (*StepStats, error) {
 	return &m.stats, nil
 }
 
-// runSpan evaluates only the plan's segments, serially, and commits them
-// in place: the kernel writes next[segment] for every segment, and only
-// then are the segments copied over cur (compute strictly before commit,
-// since a kernel may read any cur cell — e.g. the shortcut generation
-// reading other column-0 cells). Idle cells are never touched and the
-// buffers do not swap: cur simply stays current outside the plan.
-func (m *Machine) runSpan(ctx Context) error {
-	if m.hooks.WorkerStall != nil {
-		m.hooks.WorkerStall(ctx, 0)
-	}
-	cur, next, aux := m.field.cur, m.field.next, m.field.a
-	k := m.jobKernel
-	p := m.jobPlan
-	if p.SegLen == 0 || p.Count == 0 {
-		return nil // empty region: the generation provably changes nothing
-	}
-	for s := 0; s < p.Count; s++ {
-		segLo := p.Lo + s*p.Stride
-		active, reads, err := k(segLo, segLo+p.SegLen, cur, next, aux)
-		if err != nil {
-			return err
-		}
-		m.stats.Active += active
-		m.stats.TotalReads += reads
-	}
-	for s := 0; s < p.Count; s++ {
-		segLo := p.Lo + s*p.Stride
-		m.field.commitRange(segLo, segLo+p.SegLen)
-	}
-	return nil
-}
-
 // runSweep evaluates the full field across the shard plan on the shared
 // pool (shard 0, and any shard the pool cannot take immediately, on the
-// calling goroutine) and commits by buffer swap. Within each shard the
-// kernel runs only on plan-active runs; passive gaps are bulk-copied
-// forward.
+// calling goroutine) and commits by buffer swap.
 func (m *Machine) runSweep(ctx Context) error {
 	m.jobCtx = ctx
 	m.group.Run((*sweepJob)(m), m.active)
@@ -378,9 +308,8 @@ func (j *sweepJob) RunShard(w int) {
 }
 
 // runShard evaluates shard w of the next generation: through the step's
-// bulk kernel over the plan's active runs when a kernel is set (passive
-// gaps are copied forward unchanged), and through the generic per-cell
-// Pointer/Update path otherwise.
+// bulk kernel over the whole shard when a kernel is set, and through the
+// generic per-cell Pointer/Update path otherwise.
 func (m *Machine) runShard(ctx Context, w int) rangeResult {
 	if m.hooks.WorkerStall != nil {
 		m.hooks.WorkerStall(ctx, w)
@@ -390,21 +319,8 @@ func (m *Machine) runShard(ctx Context, w int) rangeResult {
 	next := m.field.next
 	aux := m.field.a
 	if k := m.jobKernel; k != nil {
-		var res rangeResult
-		m.jobPlan.forEachRun(lo, hi,
-			func(runLo, runHi int) {
-				if res.err != nil {
-					return
-				}
-				active, reads, err := k(runLo, runHi, cur, next, aux)
-				res.active += active
-				res.reads += reads
-				res.err = err
-			},
-			func(gapLo, gapHi int) {
-				copy(next[gapLo:gapHi], cur[gapLo:gapHi])
-			})
-		return res
+		active, reads, err := k(lo, hi, cur, next, aux)
+		return rangeResult{active: active, reads: reads, err: err}
 	}
 
 	var res rangeResult

@@ -29,15 +29,13 @@ var BufferDiscipline = &Analyzer{
 }
 
 // curWriteAllowed are the gca functions allowed to mutate the current
-// buffer: construction, generation-0 initialisation, and the two commit
-// points — swap (sweep mode) and commitRange (span mode's in-place
-// segment commit).
+// buffer: construction, generation-0 initialisation, and the one commit
+// point, swap.
 var curWriteAllowed = map[string]bool{
-	"NewField":    true,
-	"SetCell":     true,
-	"SetData":     true,
-	"swap":        true,
-	"commitRange": true,
+	"NewField": true,
+	"SetCell":  true,
+	"SetData":  true,
+	"swap":     true,
 }
 
 var ruleMethodNames = map[string]bool{
@@ -150,12 +148,11 @@ func checkFieldBuffers(pass *Pass) {
 				if isBuiltin(info, n, "copy") && len(n.Args) == 2 {
 					// copy(next, cur) is the sanctioned forward move;
 					// moving data into cur or out of next is a commit,
-					// which only the sanctioned committers (swap,
-					// commitRange) may perform.
+					// which only swap may perform.
 					if !curWriteAllowed[name] {
 						if bufferOf(info, aliases, n.Args[0], curVar, nextVar) == curVar {
 							pass.Reportf(n.Args[0].Pos(), "cur-write",
-								"%s copies into the current-state buffer; only the commit helpers (swap, commitRange) may move next into cur", name)
+								"%s copies into the current-state buffer; only the commit point (swap) may move next into cur", name)
 						}
 						if bufferOf(info, aliases, n.Args[1], curVar, nextVar) == nextVar {
 							pass.Reportf(n.Args[1].Pos(), "next-read",
@@ -233,10 +230,10 @@ func fieldBufferVars(pkg *Package) (cur, next *types.Var) {
 //     or passed to another function (the copy/len/cap builtins excepted),
 //     because an escaped buffer outlives the step that owns it;
 //   - when the kernel carries int range parameters named lo/hi (the
-//     gca.Kernel contract's assigned run), every next write must be
-//     indexed through a value derived from that range — the machine only
-//     gap-copies cells outside the plan's runs, so an out-of-range write
-//     would silently race the copy (kernel-range-write).
+//     gca.Kernel contract's assigned shard), every next write must be
+//     indexed through a value derived from that range — other shards
+//     write the rest of next concurrently, so an out-of-range write
+//     would silently race them (kernel-range-write).
 //
 // A local bound to a sub-slice of either buffer (`src, dst := cur[lo:hi],
 // next[lo:hi]`, the bounds-check-free loop idiom) is a window: element
@@ -485,7 +482,7 @@ func checkKernelBody(pass *Pass, info *types.Info, body *ast.BlockStmt, where st
 					base = ix.X
 					if rooted != nil && paramOf(ix.X) == nextObj && !isWindow(ix.X) && !refsAny(info, ix.Index, rooted) {
 						pass.Reportf(lhs.Pos(), "kernel-range-write",
-							"%s writes %s at an index not derived from the kernel's [lo, hi) range; kernels must write only the runs the plan hands them",
+							"%s writes %s at an index not derived from the kernel's [lo, hi) range; kernels must write only the range the machine hands them",
 							where, exprString(lhs))
 					}
 				}
@@ -501,7 +498,7 @@ func checkKernelBody(pass *Pass, info *types.Info, body *ast.BlockStmt, where st
 					if buf, se := windowBinding(n, i); buf == nextObj && (se.Low == nil || se.High == nil ||
 						!refsAny(info, se.Low, rooted) || !refsAny(info, se.High, rooted)) {
 						pass.Reportf(se.Pos(), "kernel-range-write",
-							"%s binds a window of next with bounds not derived from the kernel's [lo, hi) range; kernels must write only the runs the plan hands them",
+							"%s binds a window of next with bounds not derived from the kernel's [lo, hi) range; kernels must write only the range the machine hands them",
 							where)
 					}
 				}
@@ -555,7 +552,7 @@ func checkKernelBody(pass *Pass, info *types.Info, body *ast.BlockStmt, where st
 					if !isSlice || se.Low == nil || se.High == nil ||
 						!refsAny(info, se.Low, rooted) || !refsAny(info, se.High, rooted) {
 						pass.Reportf(n.Args[0].Pos(), "kernel-range-write",
-							"%s copies into next with bounds not derived from the kernel's [lo, hi) range; kernels must write only the runs the plan hands them", where)
+							"%s copies into next with bounds not derived from the kernel's [lo, hi) range; kernels must write only the range the machine hands them", where)
 					}
 				}
 				if paramOf(n.Args[1]) == nextObj {

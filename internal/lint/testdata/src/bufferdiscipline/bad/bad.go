@@ -65,9 +65,9 @@ func escapeKernel(lo, hi int, cur, next []Value) []Value {
 	return next // want "returns the next buffer"
 }
 
-// rangeKernel violates the active-range contract: with the plan-routed
-// machine only gap-copying cells outside [lo, hi), any next write whose
-// index is not derived from the range races the copy.
+// rangeKernel violates the shard-range contract: other shards write the
+// rest of next concurrently, so any next write whose index is not
+// derived from [lo, hi) races them.
 func rangeKernel(lo, hi int, cur, next, a []Value) (int, int, error) {
 	cn := lo + 1 // derived cursors stay rooted
 	for i := lo; i < hi; i++ {
@@ -99,7 +99,7 @@ func windowBadKernel(lo, hi int, cur, next []Value) (int, int, error) {
 }
 
 // badCommit moves buffer contents against the grain outside the
-// sanctioned commit helpers (swap, commitRange).
+// sanctioned commit point (swap).
 func (f *Field) badCommit(scratch []Cell) {
 	copy(f.cur, scratch)           // want "copies into the current-state buffer"
 	copy(scratch, f.next)          // want "copies out of the next-state buffer"
@@ -107,9 +107,12 @@ func (f *Field) badCommit(scratch []Cell) {
 	copy(scratch[1:], f.next[1:2]) // want "copies out of the next-state buffer"
 }
 
-// commitRange is the sanctioned span-mode commit: like swap, it may move
-// next into cur, and must not flag.
-func (f *Field) commitRange(lo, hi int) { copy(f.cur[lo:hi], f.next[lo:hi]) }
+// commitInPlace commits a range in place. swap is the only commit
+// point, so moving next into cur anywhere else flags.
+func (f *Field) commitInPlace(lo, hi int) {
+	copy(f.cur[lo:hi], // want "copies into the current-state buffer"
+		f.next[lo:hi]) // want "copies out of the next-state buffer"
+}
 
 func consumeValues([]Value) {}
 
